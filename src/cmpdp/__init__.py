@@ -37,11 +37,10 @@ from .graph import (
 )
 from .graphio import parse_graph, write_graph
 from .lpformat import emit_lp
-from .net import CmpParams, cmp, init_params, load_params, save_params, score_graph
+from .net import CmpParams, init_params, load_params, save_params, score_graph
 from .selftrain import (
     Buffer,
     PairSample,
-    TrainConfig,
     harvest_pairs,
     measure_consistency,
     refresh_buffer,
@@ -58,12 +57,10 @@ __all__ = [
     "GraphError",
     "PairSample",
     "RunConfig",
-    "TrainConfig",
     "Trajectory",
     "VertexSet",
     "build_graph",
     "build_mvc_gadgets",
-    "cmp",
     "emit_lp",
     "exact_mis",
     "exact_mvc",

@@ -141,40 +141,39 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# (flag, RunConfig key, type) of every config setting a command line may
+# override; a bool key gets a --flag / --no-flag pair
+_CONFIG_FLAGS = (
+    ("--seed", "seed", int),
+    ("--epochs", "total_epochs", int),
+    ("--batch-size", "batch_size", int),
+    ("--lr", "lr", float),
+    ("--rollouts", "num_rollouts", int),
+    ("--mixed", "mixed", bool),
+    ("--rounds", "rounds", int),
+    ("--width", "width", int),
+    ("--head-layers", "head_layers", int),
+    ("--graphs-per-refresh", "graphs_per_refresh", int),
+    ("--pairs-per-graph", "pairs_per_graph", int),
+    ("--epochs-per-refresh", "epochs_per_refresh", int),
+)
+
+
 def _add_config_overrides(p: argparse.ArgumentParser, include_seed: bool = True) -> None:
     p.add_argument("--config", help="key=value config file")
-    if include_seed:
-        p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int, dest="total_epochs")
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--rollouts", type=int, dest="num_rollouts")
-    p.add_argument("--mixed", action="store_true", default=None)
-    p.add_argument("--no-mixed", action="store_false", dest="mixed", default=None)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--head-layers", type=int)
-    p.add_argument("--graphs-per-refresh", type=int)
-    p.add_argument("--pairs-per-graph", type=int)
-    p.add_argument("--epochs-per-refresh", type=int)
+    for flag, key, kind in _CONFIG_FLAGS:
+        if key == "seed" and not include_seed:
+            continue
+        if kind is bool:
+            p.add_argument(flag, action="store_true", dest=key, default=None)
+            p.add_argument("--no-" + flag[2:], action="store_false", dest=key, default=None)
+        else:
+            p.add_argument(flag, type=kind, dest=key)
 
 
 def _load_cfg(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(getattr(args, "config", None))
-    for key in (
-        "seed",
-        "total_epochs",
-        "batch_size",
-        "lr",
-        "num_rollouts",
-        "mixed",
-        "rounds",
-        "width",
-        "head_layers",
-        "graphs_per_refresh",
-        "pairs_per_graph",
-        "epochs_per_refresh",
-    ):
+    for _, key, _ in _CONFIG_FLAGS:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)

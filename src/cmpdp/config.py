@@ -1,6 +1,7 @@
-"""Run configuration: training knobs plus evaluation knobs, loadable from a
-``key=value`` file with ``#`` comments. Environment variables prefixed
-``CMPDP_`` (e.g. CMPDP_LR=0.01) override file values."""
+"""Run configuration: the self-training knobs plus the evaluation knobs,
+loadable from a ``key=value`` file with ``#`` comments. Environment variables
+prefixed ``CMPDP_`` (e.g. CMPDP_LR=0.01) override file values; the CLI's flags
+override both."""
 
 from __future__ import annotations
 
@@ -8,8 +9,6 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
-
-from .selftrain import TrainConfig
 
 ENV_PREFIX = "CMPDP_"
 
@@ -22,21 +21,52 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig(TrainConfig):
-    """TrainConfig plus the evaluation-side settings."""
+class RunConfig:
+    """Every run setting; defaults follow the evaluated setup."""
 
+    total_epochs: int = 300
+    batch_size: int = 32
+    lr: float = 1e-3
+    num_rollouts: int = 3
+    mixed: bool = False
+    graphs_per_refresh: int = 32
+    pairs_per_graph: int = 8
+    epochs_per_refresh: int = 10
+    seed: int = 0
+    rounds: int = 3
+    width: int = 32
+    head_layers: int = 4
+    val_fraction: float = 0.2
+    drop_ties: bool = False
+    cross_pairs: bool = False
+    consistency_pairs: int = 32
     exact_budget: int = 2_000_000
     local_search_seconds: float = 1.0
     local_search_moves: int = 2000
 
     def validate(self) -> None:
-        super().validate()
-        if self.exact_budget < 1:
-            raise ValueError("exact_budget must be positive")
-        if self.local_search_seconds < 0:
-            raise ValueError("local_search_seconds must be non-negative")
-        if self.local_search_moves < 0:
-            raise ValueError("local_search_moves must be non-negative")
+        for key in (
+            "batch_size",
+            "num_rollouts",
+            "graphs_per_refresh",
+            "pairs_per_graph",
+            "epochs_per_refresh",
+            "rounds",
+            "width",
+            "consistency_pairs",
+            "exact_budget",
+        ):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be positive")
+        for key in ("total_epochs", "local_search_seconds", "local_search_moves"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be non-negative")
+        if self.head_layers < 2:
+            raise ValueError("head_layers must be at least 2")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError("val_fraction must be in [0, 1)")
 
 
 def load_config(path: str | Path | None = None, env: Mapping[str, str] | None = None) -> RunConfig:

@@ -16,10 +16,11 @@ rather than O(n^2).
 
 from __future__ import annotations
 
+import functools
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterator, NamedTuple
 
 import numpy as np
 from scipy.special import erf, expit
@@ -76,6 +77,47 @@ def head_dims(width: int, head_layers: int) -> list[tuple[int, int]]:
     return dims
 
 
+class TensorSpec(NamedTuple):
+    """One learnable tensor: its serialized name, the CmpParams list holding
+    it and its index there, its shape, and the fan-in that scales its uniform
+    initialization (0 for layer-norm tensors, which start at scale 1, shift 0)."""
+
+    name: str
+    field: str
+    index: int
+    shape: tuple[int, ...]
+    fan_in: int
+
+
+@functools.lru_cache(maxsize=32)
+def param_layout(rounds: int, width: int, head_layers: int) -> tuple[TensorSpec, ...]:
+    """Every tensor of a geometry, in the canonical serialization order."""
+    w3 = 3 * width
+    out = []
+    for k in range(rounds):
+        for branch in ("self", "neigh", "anti"):
+            out.append(TensorSpec(f"round{k}.{branch}_w", f"{branch}_w", k, (width, w3), w3))
+            out.append(TensorSpec(f"round{k}.{branch}_b", f"{branch}_b", k, (width,), w3))
+        out.append(TensorSpec(f"round{k}.norm_scale", "norm_scale", k, (w3,), 0))
+        out.append(TensorSpec(f"round{k}.norm_shift", "norm_shift", k, (w3,), 0))
+    for i, (din, dout) in enumerate(head_dims(width, head_layers)):
+        out.append(TensorSpec(f"head{i}.w", "head_w", i, (dout, din), din))
+        out.append(TensorSpec(f"head{i}.b", "head_b", i, (dout,), din))
+        if i < head_layers - 1:
+            out.append(TensorSpec(f"head{i}.norm_scale", "head_norm_scale", i, (width,), 0))
+            out.append(TensorSpec(f"head{i}.norm_shift", "head_norm_shift", i, (width,), 0))
+    return tuple(out)
+
+
+def param_count(rounds: int, width: int, head_layers: int) -> int:
+    """Scalar count of :func:`param_layout` in closed form, so a geometry read
+    from an untrusted header can be sized without building anything."""
+    per_round = 9 * width * width + 9 * width  # three (w x 3w) maps + biases, 3w scale/shift
+    head = (3 * width + 1) * width + (head_layers - 2) * (width + 1) * width + 2 * width + 1
+    head_norms = 2 * width * (head_layers - 1)
+    return rounds * per_round + head + head_norms
+
+
 @dataclass
 class CmpParams:
     """All learnable tensors, geometry (rounds, width, head_layers) included.
@@ -83,7 +125,7 @@ class CmpParams:
     Per round: self/neighbor/non-neighbor weight matrices (width x 3*width)
     with bias vectors (width), plus layer-norm scale/shift (3*width). The head
     holds ``head_layers`` linear layers sized by :func:`head_dims`, each hidden
-    layer with its own layer-norm scale/shift.
+    layer with its own layer-norm scale/shift. :func:`param_layout` lists them.
     """
 
     rounds: int
@@ -104,84 +146,45 @@ class CmpParams:
 
     def tensors(self) -> Iterator[tuple[str, np.ndarray]]:
         """Yield (name, live array) in the canonical serialization order."""
-        for k in range(self.rounds):
-            yield f"round{k}.self_w", self.self_w[k]
-            yield f"round{k}.self_b", self.self_b[k]
-            yield f"round{k}.neigh_w", self.neigh_w[k]
-            yield f"round{k}.neigh_b", self.neigh_b[k]
-            yield f"round{k}.anti_w", self.anti_w[k]
-            yield f"round{k}.anti_b", self.anti_b[k]
-            yield f"round{k}.norm_scale", self.norm_scale[k]
-            yield f"round{k}.norm_shift", self.norm_shift[k]
-        for i in range(self.head_layers):
-            yield f"head{i}.w", self.head_w[i]
-            yield f"head{i}.b", self.head_b[i]
-            if i < self.head_layers - 1:
-                yield f"head{i}.norm_scale", self.head_norm_scale[i]
-                yield f"head{i}.norm_shift", self.head_norm_shift[i]
+        for spec in param_layout(self.rounds, self.width, self.head_layers):
+            yield spec.name, getattr(self, spec.field)[spec.index]
 
     def copy(self) -> "CmpParams":
-        out = zeros_like_params(self)
-        for (_, dst), (_, src) in zip(out.tensors(), self.tensors()):
-            dst[...] = src
-        return out
-
-    def component_count(self) -> int:
-        return sum(a.size for _, a in self.tensors())
+        return _params_from_layout(
+            self.rounds, self.width, self.head_layers, lambda spec: getattr(self, spec.field)[spec.index].copy()
+        )
 
     def check_shapes(self) -> None:
         if self.head_layers < 2:
             raise WeightDimensionError("head_layers must be at least 2")
-        w3 = 3 * self.width
-        for k in range(self.rounds):
-            for name, arr, shape in (
-                (f"round{k}.self_w", self.self_w[k], (self.width, w3)),
-                (f"round{k}.neigh_w", self.neigh_w[k], (self.width, w3)),
-                (f"round{k}.anti_w", self.anti_w[k], (self.width, w3)),
-                (f"round{k}.self_b", self.self_b[k], (self.width,)),
-                (f"round{k}.neigh_b", self.neigh_b[k], (self.width,)),
-                (f"round{k}.anti_b", self.anti_b[k], (self.width,)),
-                (f"round{k}.norm_scale", self.norm_scale[k], (w3,)),
-                (f"round{k}.norm_shift", self.norm_shift[k], (w3,)),
-            ):
-                if arr.shape != shape:
-                    raise WeightDimensionError(f"{name}: expected {shape}, got {arr.shape}")
-        for i, (din, dout) in enumerate(head_dims(self.width, self.head_layers)):
-            if self.head_w[i].shape != (dout, din):
-                raise WeightDimensionError(
-                    f"head{i}.w: expected {(dout, din)}, got {self.head_w[i].shape}"
-                )
-            if self.head_b[i].shape != (dout,):
-                raise WeightDimensionError(
-                    f"head{i}.b: expected {(dout,)}, got {self.head_b[i].shape}"
-                )
-        for name, arrs in (("norm_scale", self.head_norm_scale), ("norm_shift", self.head_norm_shift)):
-            if len(arrs) != self.head_layers - 1:
-                raise WeightDimensionError(f"head.{name}: expected {self.head_layers - 1} entries")
+        layout = param_layout(self.rounds, self.width, self.head_layers)
+        for name in _TENSOR_FIELDS:
+            want = sum(spec.field == name for spec in layout)
+            if len(getattr(self, name)) != want:
+                raise WeightDimensionError(f"{name}: expected {want} entries")
+        for spec, (_, arr) in zip(layout, self.tensors()):
+            if arr.shape != spec.shape:
+                raise WeightDimensionError(f"{spec.name}: expected {spec.shape}, got {arr.shape}")
         for _, arr in self.tensors():
             if not np.isfinite(arr).all():
                 raise NonFiniteError("parameter tensor contains non-finite values")
 
 
+_TENSOR_FIELDS = tuple(f.name for f in fields(CmpParams))[3:]
+
+
+def _params_from_layout(
+    rounds: int, width: int, head_layers: int, make: Callable[[TensorSpec], np.ndarray]
+) -> CmpParams:
+    """CmpParams whose every tensor is ``make(spec)``, built in layout order."""
+    p = CmpParams(rounds, width, head_layers)
+    for spec in param_layout(rounds, width, head_layers):
+        getattr(p, spec.field).append(make(spec))
+    return p
+
+
 def zeros_like_params(p: CmpParams) -> CmpParams:
-    w3 = 3 * p.width
-    out = CmpParams(p.rounds, p.width, p.head_layers)
-    for _ in range(p.rounds):
-        out.self_w.append(np.zeros((p.width, w3)))
-        out.self_b.append(np.zeros(p.width))
-        out.neigh_w.append(np.zeros((p.width, w3)))
-        out.neigh_b.append(np.zeros(p.width))
-        out.anti_w.append(np.zeros((p.width, w3)))
-        out.anti_b.append(np.zeros(p.width))
-        out.norm_scale.append(np.zeros(w3))
-        out.norm_shift.append(np.zeros(w3))
-    for din, dout in head_dims(p.width, p.head_layers):
-        out.head_w.append(np.zeros((dout, din)))
-        out.head_b.append(np.zeros(dout))
-    for _ in range(p.head_layers - 1):
-        out.head_norm_scale.append(np.zeros(p.width))
-        out.head_norm_shift.append(np.zeros(p.width))
-    return out
+    return _params_from_layout(p.rounds, p.width, p.head_layers, lambda spec: np.zeros(spec.shape))
 
 
 def init_params(rounds: int, width: int, head_layers: int, seed: int) -> CmpParams:
@@ -192,29 +195,14 @@ def init_params(rounds: int, width: int, head_layers: int, seed: int) -> CmpPara
     if head_layers < 2:
         raise WeightDimensionError("head_layers must be at least 2")
     rng = np.random.default_rng(seed)
-    w3 = 3 * width
 
-    def lin(shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, shape)
+    def init(spec: TensorSpec) -> np.ndarray:
+        if spec.fan_in:
+            bound = 1.0 / np.sqrt(spec.fan_in)
+            return rng.uniform(-bound, bound, spec.shape)
+        return np.ones(spec.shape) if spec.field.endswith("scale") else np.zeros(spec.shape)
 
-    p = CmpParams(rounds, width, head_layers)
-    for _ in range(rounds):
-        p.self_w.append(lin((width, w3), w3))
-        p.self_b.append(lin((width,), w3))
-        p.neigh_w.append(lin((width, w3), w3))
-        p.neigh_b.append(lin((width,), w3))
-        p.anti_w.append(lin((width, w3), w3))
-        p.anti_b.append(lin((width,), w3))
-        p.norm_scale.append(np.ones(w3))
-        p.norm_shift.append(np.zeros(w3))
-    for din, dout in head_dims(width, head_layers):
-        p.head_w.append(lin((dout, din), din))
-        p.head_b.append(lin((dout,), din))
-    for _ in range(head_layers - 1):
-        p.head_norm_scale.append(np.ones(width))
-        p.head_norm_shift.append(np.zeros(width))
-    return p
+    return _params_from_layout(rounds, width, head_layers, init)
 
 
 @dataclass
@@ -301,17 +289,11 @@ def score_graph(params: CmpParams, g: Graph) -> tuple[float, ForwardTrace]:
     return logit, trace
 
 
-def cmp(params: CmpParams, g: Graph, g_prime: Graph) -> int:
-    """1 when the scorer ranks g strictly below g_prime, else 0. Ties (and
-    identical graphs) give 0."""
-    return 1 if score_graph(params, g)[0] < score_graph(params, g_prime)[0] else 0
-
-
-def pair_loss(params: CmpParams, g: Graph, g_prime: Graph, label: int) -> float:
-    """Cross-entropy of the two-way softmax over the pair's logits."""
-    _check_label(label)
-    z0 = score_graph(params, g)[0]
-    z1 = score_graph(params, g_prime)[0]
+def logit_pair_loss(z0: float, z1: float, label: int) -> float:
+    """Cross-entropy of the two-way softmax over a pair's logits. label 1
+    means the second graph is annotated as the one with the larger optimum."""
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label!r}")
     d = z1 - z0
     return float(np.logaddexp(0.0, d) - label * d)
 
@@ -324,21 +306,14 @@ def pair_loss_and_grad(
     label 1 means g_prime is annotated as the graph with the larger optimum.
     The gradient object reuses the CmpParams layout.
     """
-    _check_label(label)
     z0, t0 = score_graph(params, g)
     z1, t1 = score_graph(params, g_prime)
-    d = z1 - z0
-    loss = float(np.logaddexp(0.0, d) - label * d)
-    dz1 = float(expit(d)) - label
+    loss = logit_pair_loss(z0, z1, label)
+    dz1 = float(expit(z1 - z0)) - label
     grads = zeros_like_params(params)
     _backprop(params, t1, dz1, grads)
     _backprop(params, t0, -dz1, grads)
     return loss, grads
-
-
-def _check_label(label: int) -> None:
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
 
 
 def _backprop(params: CmpParams, trace: ForwardTrace, dlogit: float, grads: CmpParams) -> None:
@@ -412,26 +387,15 @@ def _backprop(params: CmpParams, trace: ForwardTrace, dlogit: float, grads: CmpP
 
 @dataclass
 class AdamState:
-    """First/second moments per tensor plus the shared step counter."""
+    """First/second moments, in the CmpParams layout, plus the shared step counter."""
 
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-
-    def copy(self) -> "AdamState":
-        return AdamState(
-            self.step,
-            {k: a.copy() for k, a in self.m.items()},
-            {k: a.copy() for k, a in self.v.items()},
-        )
+    m: CmpParams
+    v: CmpParams
 
 
 def init_adam(params: CmpParams) -> AdamState:
-    return AdamState(
-        0,
-        {name: np.zeros_like(a) for name, a in params.tensors()},
-        {name: np.zeros_like(a) for name, a in params.tensors()},
-    )
+    return AdamState(0, zeros_like_params(params), zeros_like_params(params))
 
 
 def adam_step(
@@ -445,16 +409,13 @@ def adam_step(
 ) -> tuple[CmpParams, AdamState]:
     """One bias-corrected Adam update; inputs are not mutated."""
     new_params = params.copy()
-    new_state = state.copy()
-    new_state.step += 1
+    new_state = AdamState(state.step + 1, state.m.copy(), state.v.copy())
     t = new_state.step
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    grad_map = dict(grads.tensors())
-    for name, tensor in new_params.tensors():
-        gr = grad_map[name]
-        m = new_state.m[name]
-        v = new_state.v[name]
+    for (_, tensor), (_, gr), (_, m), (_, v) in zip(
+        new_params.tensors(), grads.tensors(), new_state.m.tensors(), new_state.v.tensors()
+    ):
         m *= beta1
         m += (1.0 - beta1) * gr
         v *= beta2
@@ -490,9 +451,7 @@ def params_from_bytes(data: bytes, expect: tuple[int, int, int] | None = None) -
         for name, got, want in zip(("rounds", "width", "head_layers"), (rounds, width, head_layers), expect):
             if got != want:
                 raise WeightDimensionError(f"{name}: file has {got}, expected {want}")
-    skeleton = zeros_like_params(CmpParams(rounds, width, head_layers))
-    payload = sum(a.size for _, a in skeleton.tensors()) * 8
-    total = len(MAGIC) + 24 + payload + 4
+    total = off + 8 * param_count(rounds, width, head_layers) + 4
     if len(data) < total:
         raise WeightTruncatedError(f"expected {total} bytes, got {len(data)}")
     if len(data) > total:
@@ -500,11 +459,15 @@ def params_from_bytes(data: bytes, expect: tuple[int, int, int] | None = None) -
     stored = int(np.frombuffer(data, dtype="<u4", count=1, offset=total - 4)[0])
     if zlib.crc32(data[: total - 4]) != stored:
         raise WeightChecksumError("checksum mismatch")
-    for _, tensor in skeleton.tensors():
-        flat = np.frombuffer(data, dtype="<f8", count=tensor.size, offset=off)
-        tensor[...] = flat.reshape(tensor.shape)
-        off += tensor.size * 8
-    return skeleton
+
+    def read(spec: TensorSpec) -> np.ndarray:
+        nonlocal off
+        size = int(np.prod(spec.shape))
+        flat = np.frombuffer(data, dtype="<f8", count=size, offset=off)
+        off += size * 8
+        return flat.reshape(spec.shape).astype(np.float64)
+
+    return _params_from_layout(rounds, width, head_layers, read)
 
 
 def save_params(params: CmpParams, dest: str | Path | BinaryIO) -> None:

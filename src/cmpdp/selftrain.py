@@ -16,8 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
+from .config import RunConfig
 from .dpsolve import (
     Comparator,
     derive_seed,
@@ -32,6 +31,7 @@ from .net import (
     adam_step,
     init_adam,
     init_params,
+    logit_pair_loss,
     pair_loss_and_grad,
     score_graph,
     zeros_like_params,
@@ -61,50 +61,6 @@ class Buffer:
 
     def __len__(self) -> int:
         return len(self.train) + len(self.val)
-
-
-@dataclass
-class TrainConfig:
-    """Knobs of the self-training loop; defaults follow the evaluated setup."""
-
-    total_epochs: int = 300
-    batch_size: int = 32
-    lr: float = 1e-3
-    num_rollouts: int = 3
-    mixed: bool = False
-    graphs_per_refresh: int = 32
-    pairs_per_graph: int = 8
-    epochs_per_refresh: int = 10
-    seed: int = 0
-    rounds: int = 3
-    width: int = 32
-    head_layers: int = 4
-    val_fraction: float = 0.2
-    drop_ties: bool = False
-    cross_pairs: bool = False
-    consistency_pairs: int = 32
-
-    def validate(self) -> None:
-        for key in (
-            "batch_size",
-            "num_rollouts",
-            "graphs_per_refresh",
-            "pairs_per_graph",
-            "epochs_per_refresh",
-            "rounds",
-            "width",
-            "consistency_pairs",
-        ):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be positive")
-        if self.total_epochs < 0:
-            raise ValueError("total_epochs must be non-negative")
-        if self.head_layers < 2:
-            raise ValueError("head_layers must be at least 2")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in [0, 1)")
 
 
 @dataclass
@@ -139,13 +95,13 @@ def metrics_to_csv(rows: Iterable[MetricsRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _estimator(cfg: TrainConfig, comparator: Comparator) -> Callable[[Graph, int], int]:
+def _estimator(cfg: RunConfig, comparator: Comparator) -> Callable[[Graph, int], int]:
     fn = mixed_estimate if cfg.mixed else rollout_estimate
     return lambda g, seed: fn(g, comparator, cfg.num_rollouts, seed)
 
 
 def harvest_pairs(
-    g_init: Graph, params: CmpParams, cfg: TrainConfig, seed: int
+    g_init: Graph, params: CmpParams, cfg: RunConfig, seed: int
 ) -> list[PairSample]:
     """Run the solver once on ``g_init`` and turn up to ``pairs_per_graph``
     of its recursion steps into labeled samples."""
@@ -171,7 +127,7 @@ def harvest_pairs(
 
 
 def refresh_buffer(
-    dataset: Sequence[Graph], params: CmpParams, cfg: TrainConfig, seed: int
+    dataset: Sequence[Graph], params: CmpParams, cfg: RunConfig, seed: int
 ) -> Buffer:
     """Rebuild the buffer from scratch with the current parameters and split
     it into train/validation parts."""
@@ -194,7 +150,7 @@ def refresh_buffer(
 
 
 def _cross_pairs(
-    samples: list[PairSample], params: CmpParams, cfg: TrainConfig, seed: int
+    samples: list[PairSample], params: CmpParams, cfg: RunConfig, seed: int
 ) -> list[PairSample]:
     """Extra pairs drawn across trajectories, reusing per-graph estimates."""
     comparator = learned_mis_comparator(params)
@@ -266,7 +222,7 @@ def consistency_fraction(
     return agree / total if total else 1.0
 
 
-def train(dataset: Sequence[Graph], cfg: TrainConfig) -> tuple[CmpParams, list[MetricsRow]]:
+def train(dataset: Sequence[Graph], cfg: RunConfig) -> tuple[CmpParams, list[MetricsRow]]:
     """Full self-training run; returns the best-validation-loss parameters and
     one metrics row per epoch.
 
@@ -344,8 +300,7 @@ def _validate(params: CmpParams, split: list[PairSample]) -> tuple[float, float]
     for s in split:
         z0 = score_graph(params, s.g)[0]
         z1 = score_graph(params, s.g_prime)[0]
-        d = z1 - z0
-        losses.append(float(np.logaddexp(0.0, d) - s.label * d))
+        losses.append(logit_pair_loss(z0, z1, s.label))
         if int(z0 < z1) == s.label:
             correct += 1
     return sum(losses) / len(losses), correct / len(split)

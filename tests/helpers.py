@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 import random
+import zlib
 
 import numpy as np
 
 from cmpdp.graph import Graph, build_graph
-from cmpdp.net import CmpParams, score_graph
+from cmpdp.net import MAGIC, CmpParams, score_graph
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -108,6 +109,18 @@ def pairwise_loss_value(params: CmpParams, g: Graph, gp: Graph, label: int) -> f
     z1 = score_graph(params, gp)[0]
     d = z1 - z0
     return float(np.logaddexp(0.0, d) - label * d)
+
+
+# Weight-file geometries far too large for any real file: a loader that sizes
+# memory from the header before checking the file length runs out of memory
+HOSTILE_GEOMETRIES = [(3, 10**6, 4), (10**9, 1, 2), (1, 2**40, 2)]
+
+
+def hostile_header(geometry: tuple[int, int, int]) -> bytes:
+    """A 35-byte weight file: MAGIC, the declared geometry and a valid CRC,
+    with no tensor payload."""
+    body = MAGIC + np.array(geometry, dtype="<i8").tobytes()
+    return body + np.array([zlib.crc32(body)], dtype="<u4").tobytes()
 
 
 def finite_difference_grads(

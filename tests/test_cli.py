@@ -10,6 +10,8 @@ from cmpdp.generators import GenSpec, generate
 from cmpdp.graph import is_independent_set, is_vertex_cover
 from cmpdp.net import init_params, load_params, save_params
 
+from helpers import HOSTILE_GEOMETRIES, hostile_header
+
 
 @pytest.fixture()
 def tiny_dataset(tmp_path):
@@ -111,6 +113,16 @@ def test_solve_with_weights(graph_file, tmp_path):
          "--weights", str(wpath), "--rollouts", "2"]
     )
     assert rc == 0
+
+
+@pytest.mark.parametrize("geometry", HOSTILE_GEOMETRIES)
+def test_solve_hostile_weight_header_is_runtime_error(graph_file, tmp_path, geometry, capsys):
+    wpath = tmp_path / "hostile.cmp"
+    wpath.write_bytes(hostile_header(geometry))
+    rc = run_cli(["solve", "--graph", str(graph_file), "--method", "cmp", "--problem", "mis",
+                  "--weights", str(wpath)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: expected ")
 
 
 def test_solve_default_solution_path(graph_file):
@@ -232,3 +244,17 @@ def test_ablate_bad_values(tiny_dataset, tmp_path):
     rc = run_cli(["ablate", "--param", "rounds", "--values", "a,b",
                   "--dataset", str(tiny_dataset), "--out-dir", str(tmp_path)])
     assert rc == 1
+
+
+def test_flags_override_env_override_file(tiny_dataset, tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("total_epochs=1\n")
+    monkeypatch.setenv("CMPDP_TOTAL_EPOCHS", "2")
+    base = ["train", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "w.cmp"),
+            "--metrics", str(tmp_path / "m.csv"), "--config", str(cfg), "--rounds", "1",
+            "--width", "2", "--head-layers", "2", "--graphs-per-refresh", "1",
+            "--pairs-per-graph", "1", "--rollouts", "1"]
+    assert run_cli(base) == 0
+    assert len(read_csv(tmp_path / "m.csv")) == 2
+    assert run_cli(base + ["--epochs", "3"]) == 0
+    assert len(read_csv(tmp_path / "m.csv")) == 3

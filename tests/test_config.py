@@ -1,8 +1,12 @@
 """Config file parsing, defaults, validation, and environment overrides."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from cmpdp.config import ConfigError, RunConfig, load_config
+from cmpdp.config import ConfigError, RunConfig, config_from_values, load_config
 
 
 def write_cfg(tmp_path, text):
@@ -81,3 +85,11 @@ def test_eval_knobs(tmp_path):
     assert cfg.local_search_moves == 10
     with pytest.raises(ConfigError, match="exact_budget"):
         load_config(write_cfg(tmp_path, "exact_budget=0\n"), env={})
+
+
+def test_readme_table_matches_run_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    table = dict(re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", section, flags=re.MULTILINE))
+    assert set(table) == {f.name for f in fields(RunConfig)}
+    assert config_from_values(table) == RunConfig()

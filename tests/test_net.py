@@ -1,29 +1,35 @@
 """Scorer network: forward against a straight-line oracle, invariances,
 loss values, Adam, and the weight-file format."""
 
+import hashlib
 import io
 import math
 import random
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cmpdp.dpsolve import learned_mis_comparator
 from cmpdp.graph import build_graph, relabel
 from cmpdp.net import (
+    MAGIC,
     CmpParams,
     NonFiniteError,
     WeightChecksumError,
     WeightDimensionError,
+    WeightFileError,
     WeightFormatError,
     WeightTruncatedError,
     adam_step,
-    cmp,
     head_dims,
     init_adam,
     init_params,
     load_params,
-    pair_loss,
     pair_loss_and_grad,
+    param_count,
     params_from_bytes,
     params_to_bytes,
     save_params,
@@ -31,7 +37,7 @@ from cmpdp.net import (
     zeros_like_params,
 )
 
-from helpers import random_graph, straight_line_logit
+from helpers import HOSTILE_GEOMETRIES, hostile_header, pairwise_loss_value, random_graph, straight_line_logit
 
 
 def zeroed(params: CmpParams) -> CmpParams:
@@ -73,6 +79,16 @@ class TestInit:
         p = init_params(2, 4, 3, seed=1)
         assert np.array_equal(p.norm_scale[0], np.ones(12))
         assert np.array_equal(p.head_norm_shift[0], np.zeros(4))
+
+    def test_param_count_matches_tensors(self):
+        for geometry in ((1, 1, 2), (1, 2, 2), (2, 4, 3), (3, 5, 5), (3, 32, 4)):
+            p = init_params(*geometry, seed=0)
+            assert param_count(*geometry) == sum(a.size for _, a in p.tensors())
+
+    def test_serialized_init_is_stable(self):
+        # pins the canonical tensor order and the per-seed initial draws
+        digest = hashlib.sha256(params_to_bytes(init_params(2, 4, 3, seed=9))).hexdigest()
+        assert digest == "cbbf38e58ce178306047e5f30891956d1c690030eed6aa3bd68bf5f72c0c9feb"
 
     def test_bad_geometry(self):
         with pytest.raises(WeightDimensionError):
@@ -148,22 +164,23 @@ class TestForward:
 
 class TestCmp:
     def test_zero_params_never_prefer_second(self):
-        p = zeroed(init_params(1, 2, 2, seed=0))
-        assert cmp(p, triangle(), path3()) == 0
-        assert cmp(p, path3(), triangle()) == 0
+        compare = learned_mis_comparator(zeroed(init_params(1, 2, 2, seed=0)))
+        assert compare(triangle(), path3()) == 0
+        assert compare(path3(), triangle()) == 0
 
     def test_irreflexive(self):
-        p = init_params(2, 4, 3, seed=2)
+        compare = learned_mis_comparator(init_params(2, 4, 3, seed=2))
         g = random_graph(random.Random(0), 8, 0.4)
-        assert cmp(p, g, g) == 0
+        assert compare(g, g) == 0
 
     def test_antisymmetric_when_scores_differ(self):
         p = init_params(2, 4, 3, seed=2)
+        compare = learned_mis_comparator(p)
         g, h = triangle(), path3()
         za, _ = score_graph(p, g)
         zb, _ = score_graph(p, h)
         assert za != zb
-        assert cmp(p, g, h) + cmp(p, h, g) == 1
+        assert compare(g, h) + compare(h, g) == 1
 
 
 class TestPairLoss:
@@ -171,7 +188,9 @@ class TestPairLoss:
         p = init_params(2, 4, 3, seed=7)
         g = triangle()
         for label in (0, 1):
-            assert math.isclose(pair_loss(p, g, g, label), math.log(2.0), rel_tol=1e-12)
+            loss, _ = pair_loss_and_grad(p, g, g, label)
+            assert math.isclose(loss, math.log(2.0), rel_tol=1e-12)
+            assert math.isclose(pairwise_loss_value(p, g, g, label), math.log(2.0), rel_tol=1e-12)
 
     def test_zero_params_give_ln2(self):
         p = zeroed(init_params(2, 4, 3, seed=7))
@@ -191,8 +210,10 @@ class TestPairLoss:
 
     def test_loss_matches_forward_only_path(self):
         p = init_params(2, 3, 3, seed=5)
-        loss, _ = pair_loss_and_grad(p, triangle(), path3(), 1)
-        assert math.isclose(loss, pair_loss(p, triangle(), path3(), 1), rel_tol=1e-12)
+        for label in (0, 1):
+            loss, _ = pair_loss_and_grad(p, triangle(), path3(), label)
+            reference = pairwise_loss_value(p, triangle(), path3(), label)
+            assert math.isclose(loss, reference, rel_tol=1e-12)
 
 
 class TestAdam:
@@ -280,3 +301,37 @@ class TestWeightFile:
         q = load_params(path, expect=(2, 3, 4))
         for (_, a), (_, b) in zip(p.tensors(), q.tensors()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("geometry", HOSTILE_GEOMETRIES)
+    def test_huge_declared_geometry_rejected_by_length(self, geometry):
+        data = hostile_header(geometry)
+        assert len(data) == 35
+        with pytest.raises(WeightTruncatedError):
+            params_from_bytes(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_and_mutated_bytes_raise_only_weight_file_errors(self, data):
+        valid = bytearray(params_to_bytes(init_params(1, 2, 2, seed=0)))
+        kind = data.draw(st.sampled_from(("random", "flip", "header")))
+        if kind == "random":
+            blob = data.draw(st.binary(max_size=2 * len(valid)))
+        elif kind == "flip":
+            for pos, xor in data.draw(
+                st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(1, 255)), max_size=6)
+            ):
+                valid[pos] ^= xor
+            cut = data.draw(st.integers(0, len(valid)))
+            blob = bytes(valid[:cut]) + data.draw(st.binary(max_size=16))
+        else:
+            int64 = st.integers(-(2**63), 2**63 - 1)
+            geometry = data.draw(st.tuples(int64 | st.integers(0, 4), int64 | st.integers(0, 4),
+                                           int64 | st.integers(0, 4)))
+            body = MAGIC + np.array(geometry, dtype="<i8").tobytes() + bytes(valid[31:-4])
+            blob = body + np.array([zlib.crc32(body)], dtype="<u4").tobytes()
+        try:
+            params = params_from_bytes(blob)
+        except WeightFileError:
+            return
+        assert params_to_bytes(params) == blob
+

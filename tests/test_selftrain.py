@@ -6,13 +6,13 @@ import random
 import pytest
 
 from cmpdp.classic import exact_mis_size, greedy_mis
+from cmpdp.config import RunConfig
 from cmpdp.dpsolve import oracle_mis_comparator, random_comparator
 from cmpdp.generators import GenSpec, generate
 from cmpdp.graph import build_graph
 from cmpdp.net import adam_step, init_adam, init_params, pair_loss_and_grad
 from cmpdp.selftrain import (
     PairSample,
-    TrainConfig,
     consistency_fraction,
     harvest_pairs,
     measure_consistency,
@@ -24,7 +24,7 @@ from cmpdp.selftrain import (
 from helpers import random_graph
 
 
-def small_cfg(**overrides) -> TrainConfig:
+def small_cfg(**overrides) -> RunConfig:
     base = dict(
         total_epochs=4,
         batch_size=8,
@@ -39,7 +39,7 @@ def small_cfg(**overrides) -> TrainConfig:
         consistency_pairs=8,
     )
     base.update(overrides)
-    return TrainConfig(**base)
+    return RunConfig(**base)
 
 
 def er_dataset(count: int, n: int, p: float, seed: int):
@@ -204,7 +204,7 @@ class TestTrain:
 
     def test_smoke_run_beats_random_guessing(self):
         data = er_dataset(20, 15, 0.2, seed=10)
-        cfg = TrainConfig(
+        cfg = RunConfig(
             total_epochs=50,
             batch_size=16,
             num_rollouts=2,
