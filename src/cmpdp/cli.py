@@ -102,9 +102,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--problem", required=True, choices=("mis", "mvc"))
     p.add_argument("--weights")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="solution file (default: graph path with .sol suffix)")
-    _add_config_overrides(p, include_seed=False)
+    _add_config_overrides(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("eval", help="evaluate methods over a dataset directory")
@@ -159,11 +158,9 @@ _CONFIG_FLAGS = (
 )
 
 
-def _add_config_overrides(p: argparse.ArgumentParser, include_seed: bool = True) -> None:
+def _add_config_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file")
     for flag, key, kind in _CONFIG_FLAGS:
-        if key == "seed" and not include_seed:
-            continue
         if kind is bool:
             p.add_argument(flag, action="store_true", dest=key, default=None)
             p.add_argument("--no-" + flag[2:], action="store_false", dest=key, default=None)
@@ -171,17 +168,11 @@ def _add_config_overrides(p: argparse.ArgumentParser, include_seed: bool = True)
             p.add_argument(flag, type=kind, dest=key)
 
 
-def _load_cfg(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(getattr(args, "config", None))
-    for _, key, _ in _CONFIG_FLAGS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
+def _load_cfg(args: argparse.Namespace, **fixed) -> RunConfig:
+    """The run config from --config, CMPDP_* and the flags given; ``fixed``
+    values beat all three."""
+    flags = {key: getattr(args, key) for _, key, _ in _CONFIG_FLAGS if getattr(args, key) is not None}
+    return load_config(args.config, flags=flags | fixed)
 
 
 def _load_dataset(path: str) -> tuple[list[Graph], list[str]]:
@@ -241,7 +232,7 @@ def _cmd_solve(args) -> int:
     cfg = _load_cfg(args)
     g = read_graph_file(args.graph)
     params = load_params(args.weights) if args.weights else None
-    vs, status = run_method(g, args.method, args.problem, cfg, args.seed, params)
+    vs, status = run_method(g, args.method, args.problem, cfg, cfg.seed, params)
     if not vs.valid_for(g):
         raise GraphError("solver produced an invalid vertex set")
     print(f"size {len(vs)}" + (" (bound only)" if status == "bound" else ""))
@@ -313,9 +304,7 @@ def _cmd_ablate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for value in values:
-        cfg = _load_cfg(args)
-        setattr(cfg, args.param, value)
-        cfg.validate()
+        cfg = _load_cfg(args, **{args.param: value})
         params, rows = train(graphs, cfg)
         tag = f"{args.param}_{value}"
         save_params(params, out_dir / f"weights_{tag}.cmp")

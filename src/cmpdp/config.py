@@ -1,7 +1,8 @@
 """Run configuration: the self-training knobs plus the evaluation knobs,
 loadable from a ``key=value`` file with ``#`` comments. Environment variables
 prefixed ``CMPDP_`` (e.g. CMPDP_LR=0.01) override file values; the CLI's flags
-override both."""
+override both. The layers merge into one value set, which is validated once,
+so a flag can replace a bad lower-precedence value."""
 
 from __future__ import annotations
 
@@ -69,9 +70,14 @@ class RunConfig:
             raise ValueError("val_fraction must be in [0, 1)")
 
 
-def load_config(path: str | Path | None = None, env: Mapping[str, str] | None = None) -> RunConfig:
+def load_config(
+    path: str | Path | None = None,
+    env: Mapping[str, str] | None = None,
+    flags: Mapping[str, object] | None = None,
+) -> RunConfig:
     """Defaults, overridden by the file (if given), overridden by CMPDP_*
-    environment variables. Unknown keys and bad values raise ConfigError
+    environment variables, overridden by ``flags`` (already typed values, as
+    the CLI parses them). Unknown keys and bad values raise ConfigError
     naming the key."""
     values: dict[str, str] = {}
     if path is not None:
@@ -87,16 +93,23 @@ def load_config(path: str | Path | None = None, env: Mapping[str, str] | None = 
     for key, value in env.items():
         if key.startswith(ENV_PREFIX):
             values[key[len(ENV_PREFIX) :].lower()] = value
-    return config_from_values(values)
+    return config_from_values(values, flags)
 
 
-def config_from_values(values: Mapping[str, str]) -> RunConfig:
+def config_from_values(values: Mapping[str, str], flags: Mapping[str, object] | None = None) -> RunConfig:
+    """RunConfig from text ``values`` and typed ``flags``; a flag replaces the
+    value of its key unparsed. Validated once, after both are applied."""
+    flags = flags or {}
     cfg = RunConfig()
-    known = {f.name: f.type for f in fields(RunConfig)}
-    for key, value in values.items():
+    known = {f.name for f in fields(RunConfig)}
+    for key in (*values, *flags):
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, _convert(key, value, type(getattr(cfg, key))))
+    for key, value in values.items():
+        if key not in flags:
+            setattr(cfg, key, _convert(key, value, type(getattr(cfg, key))))
+    for key, value in flags.items():
+        setattr(cfg, key, value)
     try:
         cfg.validate()
     except ValueError as exc:

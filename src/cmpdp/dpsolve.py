@@ -144,17 +144,14 @@ def solve_mis(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, T
     to_original = list(range(g.n))
     traj = Trajectory()
     while cur.m > 0:
-        candidates = [v for v in range(cur.n) if cur.degree(v) > 0]
+        candidates = [v for v, row in enumerate(cur.adjacency) if row]
         v = candidates[rng.randrange(len(candidates))]
         g0, map0 = remove_vertex(cur, v)
         g1, map1 = remove_neighbors(cur, v)
         choice = 1 if comparator(g0, g1) else 0
         traj.steps.append(RecursionStep(cur, v, to_original[v], g0, g1, choice))
         nxt, mapping = (g0, map0) if choice == 0 else (g1, map1)
-        relabeled = [0] * nxt.n
-        for old, new in mapping.items():
-            relabeled[new] = to_original[old]
-        cur, to_original = nxt, relabeled
+        cur, to_original = nxt, [to_original[old] for old in mapping]  # mapping is ascending
     members = frozenset(to_original)
     result = VertexSet(members, INDEPENDENT_SET)
     traj.terminal_graph = cur

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 INDEPENDENT_SET = "independent-set"
@@ -92,17 +93,20 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def remove_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Delete ``drop`` and their incident edges; surviving ids are compacted
     in ascending order. Returns the new graph and the old->new id mapping."""
-    dropset = set(drop)
-    for v in dropset:
+    alive = [True] * g.n
+    for v in drop:
         if not 0 <= v < g.n:
             raise GraphError(f"vertex {v} out of range for {g.n} vertices")
-    keep = [v for v in range(g.n) if v not in dropset]
-    mapping = {old: new for new, old in enumerate(keep)}
-    adjacency = tuple(
-        tuple(mapping[u] for u in g.adjacency[old] if u not in dropset) for old in keep
-    )
-    m = sum(len(row) for row in adjacency) // 2
-    return Graph(len(keep), adjacency, m), mapping
+        alive[v] = False
+    keep = list(compress(range(g.n), alive))
+    new_id = [-1] * g.n
+    for new, old in enumerate(keep):
+        new_id[old] = new
+    # tuple() of a list allocates once at the exact size; from a generator it
+    # grows and shrinks, which is slower and fragments the heap that cached graphs live on
+    adjacency = tuple([tuple([new_id[u] for u in g.adjacency[old] if alive[u]]) for old in keep])
+    m = sum(map(len, adjacency)) // 2
+    return Graph(len(keep), adjacency, m), dict(zip(keep, range(len(keep))))
 
 
 def remove_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:

@@ -9,16 +9,27 @@ dense head whose last layer sees the last hidden output concatenated with the
 first hidden output (a skip connection), producing one logit.
 
 Everything is float64 numpy with hand-derived gradients; there is no autodiff
-and no batching across graphs. The non-neighbor sum is computed as
-(global sum - neighbor sum - self), so one round costs O(n + m) per vertex
-rather than O(n^2).
+and no batching across graphs. The neighbor sum is a product with the dense
+n x n adjacency and the non-neighbor sum is (global sum - neighbor sum -
+self), so one round costs O(n^2 w + n w^2).
+
+Round 0 runs on a single row. Its inputs are the zero embeddings, so it sees
+only its biases and gives every vertex the same output; computing that row
+once and copying it to all n vertices yields the very same bits, and round
+0's weight gradients are exact zeros, so the backward pass stops after its
+bias and norm gradients. The zero row still goes through round 0's weight
+products, so a non-finite round-0 weight is still reported.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import os
+import platform
 import zlib
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, NamedTuple
 
@@ -33,6 +44,41 @@ _SQRT1_2 = float(np.sqrt(0.5))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 MAGIC = b"CMPNET1"
+
+# glibc mallopt parameters, and the values its own dynamic rule reaches for
+# large blocks (32 MiB mmap threshold, twice that for trimming)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+def _keep_freed_heap() -> bool:
+    """Stop glibc from handing the freed top of the heap back to the kernel.
+
+    A forward pass at n = 110 allocates, then frees, about 1 MB of arrays of
+    50-100 KB each. Under glibc's default 128 KB trim threshold, whether those
+    pages go back to the kernel after a pass, to be faulted in again by the
+    next, depends on where long-lived objects such as cached graphs happen to
+    sit in the heap. Measured on a 2-vCPU x86-64 VM, identical solves took
+    from a few hundred to 50,000 minor faults each, with up to a fifth of
+    their time in the kernel, varying from one process to the next. Pinning
+    the thresholds keeps the pages for the next pass. Malloc settings from the
+    environment win. Returns whether the thresholds were set."""
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    if ("MALLOC_TRIM_THRESHOLD_" in os.environ or "MALLOC_MMAP_THRESHOLD_" in os.environ
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES))
+
+
+_keep_freed_heap()
 
 
 class NonFiniteError(FloatingPointError):
@@ -60,8 +106,11 @@ class WeightChecksumError(WeightFileError):
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact (erf-based) GELU."""
-    return 0.5 * x * (1.0 + erf(x * _SQRT1_2))
+    """Exact (erf-based) GELU, ``(0.5 * x) * (1 + erf(x / sqrt 2))``."""
+    out = erf(x * _SQRT1_2)
+    out += 1.0
+    out *= 0.5 * x
+    return out
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -212,7 +261,8 @@ class ForwardTrace:
     n: int
     adj: np.ndarray | None = None          # (n, n) dense adjacency
     node_emb: list[np.ndarray] = field(default_factory=list)   # rounds+1 of (n, 3w)
-    neigh_sum: list[np.ndarray] = field(default_factory=list)  # per round (n, 3w)
+    # per round, one row per vertex; round 0's hold the single row every vertex shares
+    neigh_sum: list[np.ndarray] = field(default_factory=list)
     anti_sum: list[np.ndarray] = field(default_factory=list)
     pre_act: list[np.ndarray] = field(default_factory=list)    # concat before GELU
     normed: list[np.ndarray] = field(default_factory=list)     # layer-norm x-hat
@@ -232,30 +282,31 @@ def score_graph(params: CmpParams, g: Graph) -> tuple[float, ForwardTrace]:
     n = g.n
     if n == 0:
         return 0.0, ForwardTrace(n=0)
-    w = params.width
-    w3 = 3 * w
+    w3 = 3 * params.width
+    degrees = [len(row) for row in g.adjacency]
+    rows = np.repeat(np.arange(n), degrees)
+    cols = np.fromiter(chain.from_iterable(g.adjacency), np.intp, sum(degrees))
     adj = np.zeros((n, n))
-    for v in range(n):
-        for u in g.adjacency[v]:
-            adj[v, u] = 1.0
+    adj[rows, cols] = 1.0
     trace = ForwardTrace(n=n, adj=adj)
-    emb = np.zeros((n, w3))
-    trace.node_emb.append(emb)
+    trace.node_emb.append(np.zeros((n, w3)))
+    emb = np.zeros((1, w3))  # round 0's input: the shared zero row of every vertex
     for k in range(params.rounds):
-        neigh = adj @ emb
-        anti = emb.sum(axis=0) - neigh - emb
+        if k == 0:
+            neigh = anti = emb
+        else:
+            neigh = adj @ emb
+            anti = emb.sum(axis=0) - neigh - emb
         a = emb @ params.self_w[k].T + params.self_b[k]
         b = neigh @ params.neigh_w[k].T + params.neigh_b[k]
         c = anti @ params.anti_w[k].T + params.anti_b[k]
         pre = np.concatenate((a, b, c), axis=1)
-        act = gelu(pre)
-        mean = act.mean(axis=1, keepdims=True)
-        var = act.var(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + NORM_EPS)
-        xhat = (act - mean) * inv
+        xhat, inv = _layer_norm(gelu(pre), axis=1)
         emb = xhat * params.norm_scale[k] + params.norm_shift[k]
         if not np.isfinite(emb).all():
             raise NonFiniteError(f"non-finite embedding after message round {k}")
+        if k == 0:
+            emb = np.repeat(emb, n, axis=0)
         trace.neigh_sum.append(neigh)
         trace.anti_sum.append(anti)
         trace.pre_act.append(pre)
@@ -267,17 +318,13 @@ def score_graph(params: CmpParams, g: Graph) -> tuple[float, ForwardTrace]:
     x = pooled
     for i in range(params.head_layers - 1):
         z = params.head_w[i] @ x + params.head_b[i]
-        act = gelu(z)
-        mean = act.mean()
-        var = act.var()
-        inv = float(1.0 / np.sqrt(var + NORM_EPS))
-        xhat = (act - mean) * inv
+        xhat, inv = _layer_norm(gelu(z), axis=None)
         h = xhat * params.head_norm_scale[i] + params.head_norm_shift[i]
         if not np.isfinite(h).all():
             raise NonFiniteError(f"non-finite activation in head layer {i}")
         trace.head_pre.append(z)
         trace.head_normed.append(xhat)
-        trace.head_inv_std.append(inv)
+        trace.head_inv_std.append(float(inv))
         trace.head_out.append(h)
         x = h
     final_input = np.concatenate((x, trace.head_out[0]))
@@ -287,6 +334,31 @@ def score_graph(params: CmpParams, g: Graph) -> tuple[float, ForwardTrace]:
     trace.final_input = final_input
     trace.logit = logit
     return logit, trace
+
+
+def _layer_norm(act: np.ndarray, axis: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize ``act`` in place per row (axis 1) or as a whole (None);
+    returns it with the inverse standard deviation. The sums and divisions are those
+    of ``act.mean`` and ``act.var``, in the same order, without the second
+    mean pass."""
+    size = act.shape[-1] if axis is not None else act.size
+    keep = axis is not None
+    act -= np.add.reduce(act, axis=axis, keepdims=keep) / size
+    var = np.add.reduce(act * act, axis=axis, keepdims=keep) / size
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
+    act *= inv
+    return act, inv
+
+
+def _layer_norm_grad(dxhat: np.ndarray, xhat: np.ndarray, inv, axis: int | None) -> np.ndarray:
+    """Gradient through :func:`_layer_norm`, from d(xhat) to d(act):
+    ``inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))``."""
+    size = dxhat.shape[-1] if axis is not None else dxhat.size
+    keep = axis is not None
+    dact = dxhat - np.add.reduce(dxhat, axis=axis, keepdims=keep) / size
+    dact -= xhat * (np.add.reduce(dxhat * xhat, axis=axis, keepdims=keep) / size)
+    dact *= inv
+    return dact
 
 
 def logit_pair_loss(z0: float, z1: float, label: int) -> float:
@@ -339,10 +411,8 @@ def _backprop(params: CmpParams, trace: ForwardTrace, dlogit: float, grads: CmpP
         grads.head_norm_scale[i] += dy * xhat
         grads.head_norm_shift[i] += dy
         dxhat = dy * params.head_norm_scale[i]
-        m1 = dxhat.mean()
-        m2 = (dxhat * xhat).mean()
-        dact = trace.head_inv_std[i] * (dxhat - m1 - xhat * m2)
-        dz = dact * gelu_grad(trace.head_pre[i])
+        dz = _layer_norm_grad(dxhat, xhat, trace.head_inv_std[i], axis=None)
+        dz *= gelu_grad(trace.head_pre[i])
         xin = trace.graph_emb if i == 0 else trace.head_out[i - 1]
         grads.head_w[i] += np.outer(dz, xin)
         grads.head_b[i] += dz
@@ -361,20 +431,23 @@ def _backprop(params: CmpParams, trace: ForwardTrace, dlogit: float, grads: CmpP
         grads.norm_scale[k] += (demb * xhat).sum(axis=0)
         grads.norm_shift[k] += demb.sum(axis=0)
         dxhat = demb * params.norm_scale[k]
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-        dact = inv * (dxhat - m1 - xhat * m2)
-        dpre = dact * gelu_grad(trace.pre_act[k])
+        dpre = _layer_norm_grad(dxhat, xhat, inv, axis=1)
+        dpre *= gelu_grad(trace.pre_act[k])
         da = dpre[:, :w]
         db = dpre[:, w : 2 * w]
         dc = dpre[:, 2 * w :]
-        emb_k = trace.node_emb[k]
-        grads.self_w[k] += da.T @ emb_k
         grads.self_b[k] += da.sum(axis=0)
-        grads.neigh_w[k] += db.T @ trace.neigh_sum[k]
         grads.neigh_b[k] += db.sum(axis=0)
-        grads.anti_w[k] += dc.T @ trace.anti_sum[k]
         grads.anti_b[k] += dc.sum(axis=0)
+        if k == 0:
+            # zero inputs: the weight gradients are exact zeros, and nothing
+            # reads the gradient of the initial embeddings
+            if not np.isfinite(dpre).all():
+                raise NonFiniteError("non-finite gradient in message round 0")
+            break
+        grads.self_w[k] += da.T @ trace.node_emb[k]
+        grads.neigh_w[k] += db.T @ trace.neigh_sum[k]
+        grads.anti_w[k] += dc.T @ trace.anti_sum[k]
         demb_k = da @ params.self_w[k]
         ds = db @ params.neigh_w[k]
         demb_k += trace.adj @ ds

@@ -258,3 +258,43 @@ def test_flags_override_env_override_file(tiny_dataset, tmp_path, monkeypatch):
     assert len(read_csv(tmp_path / "m.csv")) == 2
     assert run_cli(base + ["--epochs", "3"]) == 0
     assert len(read_csv(tmp_path / "m.csv")) == 3
+
+
+def test_solve_takes_its_seed_from_the_config(tmp_path, monkeypatch):
+    graph = tmp_path / "g.col"
+    write_graph_file(generate(GenSpec("er", n=30, p=0.3, seed=2)), graph)
+    sol = tmp_path / "g.sol"
+
+    def solve(*extra):
+        rc = run_cli(["solve", "--graph", str(graph), "--method", "random-cmp", "--problem", "mis",
+                      "--rollouts", "1", "--out", str(sol), *extra])
+        assert rc == 0
+        return sol.read_text()
+
+    by_flag = solve("--seed", "5")
+    assert solve("--seed", "0") != by_flag  # the seed decides this graph's solution
+    monkeypatch.setenv("CMPDP_SEED", "5")
+    assert solve() == by_flag
+    monkeypatch.setenv("CMPDP_SEED", "0")
+    assert solve("--seed", "5") == by_flag
+
+
+def test_flag_replaces_invalid_env_value(tiny_dataset, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CMPDP_BATCH_SIZE", "0")
+    base = ["eval", "--dataset", str(tiny_dataset), "--methods", "greedy",
+            "--problem", "mis", "--out", str(tmp_path / "r.csv")]
+    assert run_cli(base + ["--batch-size", "8"]) == 0
+    capsys.readouterr()
+    assert run_cli(base) == 2
+    assert "batch_size" in capsys.readouterr().err
+
+
+def test_invalid_value_surviving_every_layer_names_its_key(tiny_dataset, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("width=0\n")
+    monkeypatch.setenv("CMPDP_WIDTH", "-1")
+    base = ["eval", "--dataset", str(tiny_dataset), "--methods", "greedy",
+            "--problem", "mis", "--out", str(tmp_path / "r.csv"), "--config", str(cfg)]
+    assert run_cli(base + ["--width", "0"]) == 2
+    assert "width" in capsys.readouterr().err
+    assert run_cli(base + ["--width", "4"]) == 0

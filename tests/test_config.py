@@ -93,3 +93,20 @@ def test_readme_table_matches_run_config():
     table = dict(re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", section, flags=re.MULTILINE))
     assert set(table) == {f.name for f in fields(RunConfig)}
     assert config_from_values(table) == RunConfig()
+
+
+def test_flags_replace_invalid_lower_layers(tmp_path):
+    path = write_cfg(tmp_path, "batch_size=0\nlr=0.5\n")
+    cfg = load_config(path, env={"CMPDP_BATCH_SIZE": "huge"}, flags={"batch_size": 8})
+    assert cfg.batch_size == 8
+    assert cfg.lr == 0.5
+
+
+def test_invalid_flag_value_names_key():
+    with pytest.raises(ConfigError, match="batch_size"):
+        load_config(None, env={"CMPDP_BATCH_SIZE": "8"}, flags={"batch_size": 0})
+
+
+def test_unknown_flag_key_rejected():
+    with pytest.raises(ConfigError, match="momentum"):
+        load_config(None, env={}, flags={"momentum": 0.9})

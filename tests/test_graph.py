@@ -25,6 +25,19 @@ from cmpdp.graph import (
 from helpers import random_graph
 
 
+@st.composite
+def graph_and_drop(draw):
+    """A random graph on up to 24 vertices and a drop list over its ids,
+    repeats allowed."""
+    n = draw(st.integers(0, 24))
+    if n == 0:
+        return build_graph(0, []), []
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=80)) if pairs else []
+    drop = draw(st.lists(st.integers(0, n - 1), max_size=n + 3))
+    return build_graph(n, edges), drop
+
+
 def path3() -> Graph:
     return build_graph(3, [(0, 1), (1, 2)])
 
@@ -131,6 +144,23 @@ class TestRemove:
         assert sorted(mapping.values()) == list(range(out.n))
         for old, new in mapping.items():
             assert g.degree(old) >= out.degree(new)
+
+    @given(graph_and_drop())
+    @settings(max_examples=200, deadline=None)
+    def test_remove_vertices_properties(self, case):
+        g, drop = case
+        out, mapping = remove_vertices(g, drop)
+        out.check()
+        dropped = set(drop)
+        kept = [v for v in range(g.n) if v not in dropped]
+        assert list(mapping.items()) == [(old, new) for new, old in enumerate(kept)]
+        assert out.n == len(kept)
+        back = {new: old for old, new in mapping.items()}
+        for u, v in g.edges():
+            if u in mapping and v in mapping:
+                assert out.has_edge(mapping[u], mapping[v])
+        for a, b in out.edges():
+            assert g.has_edge(back[a], back[b])
 
 
 class TestRelabelAndFingerprint:

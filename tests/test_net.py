@@ -4,6 +4,7 @@ loss values, Adam, and the weight-file format."""
 import hashlib
 import io
 import math
+import platform
 import random
 import zlib
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmpdp import net
 from cmpdp.dpsolve import learned_mis_comparator
 from cmpdp.graph import build_graph, relabel
 from cmpdp.net import (
@@ -155,11 +157,45 @@ class TestForward:
         zd, _ = score_graph(p2, path3())
         assert abs(zc - zd) > 1e-6
 
-    def test_non_finite_params_detected(self):
-        p = init_params(1, 2, 2, seed=0)
-        p.self_w[0][0, 0] = np.inf
+    @pytest.mark.parametrize("rounds", [1, 2])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("tensor", ["self_w", "neigh_w", "anti_w"])
+    def test_non_finite_params_detected(self, tensor, value, rounds):
+        # round 0 multiplies zero inputs, so only the product 0 * inf = nan
+        # carries a bad round-0 weight into the embeddings
+        p = init_params(rounds, 2, 2, seed=0)
+        getattr(p, tensor)[0][0, 0] = value
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="round 0"):
             score_graph(p, triangle())
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+class TestHeap:
+    @pytest.fixture(autouse=True)
+    def no_malloc_settings(self, monkeypatch):
+        for key in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES"):
+            monkeypatch.delenv(key, raising=False)
+
+    def test_repeated_forwards_do_not_fault_pages_back_in(self):
+        # the arrays of one forward at n = 110 are about 1 MB; handed back to
+        # the kernel after each pass, they cost hundreds of faults per pass
+        import resource
+
+        assert net._keep_freed_heap()
+        p = init_params(3, 32, 4, seed=0)
+        g = random_graph(random.Random(5), 110, 0.03)
+        for _ in range(5):
+            score_graph(p, g)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            score_graph(p, g)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
+
+    @pytest.mark.parametrize("key, value", [("MALLOC_TRIM_THRESHOLD_", "131072"),
+                                            ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072")])
+    def test_malloc_settings_in_the_environment_win(self, monkeypatch, key, value):
+        monkeypatch.setenv(key, value)
+        assert not net._keep_freed_heap()
 
 
 class TestCmp:
@@ -202,6 +238,17 @@ class TestPairLoss:
         p = init_params(2, 4, 3, seed=7)
         _, grads = pair_loss_and_grad(p, triangle(), triangle(), 0)
         assert all(np.allclose(t, 0.0, atol=1e-12) for _, t in grads.tensors())
+
+    @pytest.mark.parametrize("geometry", [(1, 4, 2), (3, 5, 3)])
+    def test_round0_weight_gradients_are_exact_zeros(self, geometry):
+        # round 0 sees only the zero initial embeddings
+        p = init_params(*geometry, seed=3)
+        rng = random.Random(8)
+        _, grads = pair_loss_and_grad(p, random_graph(rng, 9, 0.3), random_graph(rng, 12, 0.4), 1)
+        for name in ("self_w", "neigh_w", "anti_w"):
+            assert not getattr(grads, name)[0].any()
+            assert getattr(grads, name.replace("_w", "_b"))[0].any()
+            assert all(w.any() for w in getattr(grads, name)[1:])
 
     def test_label_validated(self):
         p = init_params(1, 2, 2, seed=0)
