@@ -15,7 +15,6 @@ from .dpsolve import (
     Trajectory,
     build_mvc_gadgets,
     learned_mis_comparator,
-    learned_mvc_comparator,
     mixed_estimate,
     oracle_mis_comparator,
     oracle_mvc_comparator,
@@ -72,7 +71,6 @@ __all__ = [
     "is_independent_set",
     "is_vertex_cover",
     "learned_mis_comparator",
-    "learned_mvc_comparator",
     "load_config",
     "load_params",
     "local_search_mis",

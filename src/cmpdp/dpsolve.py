@@ -6,6 +6,10 @@ branch. The solvers are valid for arbitrary comparators: the MIS recursion
 always ends in an independent set of the original graph, and the MVC
 recursion (with its copy-vertex gadgets) always ends in a vertex cover. With
 an exact comparator both are optimal on every run.
+
+The learned scorer is trained on MIS sizes only, so learned evaluation solves
+MVC as the complement of ``solve_mis``; ``solve_mvc`` runs under the exact
+oracle and the random coin.
 """
 
 from __future__ import annotations
@@ -70,7 +74,9 @@ def learned_mis_comparator(params: CmpParams) -> Comparator:
 
 
 def learned_mvc_comparator(params: CmpParams) -> Comparator:
-    """Minimization flips the test: keep branch 0 unless it scores strictly higher."""
+    """Keep branch 0 unless it scores strictly higher: a flipped MIS score,
+    which does not estimate the gadget branches' cover sizes. No library path
+    calls it; it is kept only because the benchmark wraps this name."""
     score = _cached_scorer(params)
 
     def compare(g0: Graph, g1: Graph) -> int:

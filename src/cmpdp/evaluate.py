@@ -18,7 +18,7 @@ from .config import RunConfig
 from .dpsolve import (
     derive_seed,
     learned_mis_comparator,
-    learned_mvc_comparator,
+    learned_mvc_comparator,  # unused: kept because bench/layers.py wraps this name
     random_comparator,
     solve_mis,
     solve_mvc,
@@ -81,8 +81,10 @@ def run_method(
 ) -> tuple[VertexSet, str]:
     """Solve one graph with one method. Learned and random comparator methods
     run ``cfg.num_rollouts`` solver passes and keep the best set; cmp-mixed
-    additionally competes against the greedy solution. Returns the vertex set
-    and "ok" or "bound" (exact method only)."""
+    additionally competes against the greedy solution. For MVC the learned
+    methods keep the complement of each MIS pass (the scorer is trained on
+    MIS sizes only), while the random coin runs the copy-vertex recursion.
+    Returns the vertex set and "ok" or "bound" (exact method only)."""
     if problem not in (MIS, MVC):
         raise GraphError(f"problem must be 'mis' or 'mvc', got {problem!r}")
     if method == METHOD_EXACT:
@@ -92,10 +94,7 @@ def run_method(
         return (greedy_mis(g) if problem == MIS else greedy_mvc(g)), STATUS_OK
     if method == METHOD_LOCAL:
         vs = local_search_mis(g, cfg.local_search_seconds, seed, cfg.local_search_moves or None)
-        if problem == MVC:
-            # the complement of an independent set covers every edge
-            vs = VertexSet(frozenset(set(range(g.n)) - vs.members), VERTEX_COVER)
-        return vs, STATUS_OK
+        return (vs if problem == MIS else _complement_cover(g, vs)), STATUS_OK
     if method in (METHOD_CMP, METHOD_CMP_MIXED, METHOD_RANDOM):
         best = _best_of_rollouts(g, method, problem, cfg, seed, params)
         return best, STATUS_OK
@@ -115,15 +114,18 @@ def _best_of_rollouts(
     else:
         if params is None:
             raise GraphError(f"method {method!r} needs comparator weights")
-        comparator = (
-            learned_mis_comparator(params) if problem == MIS else learned_mvc_comparator(params)
-        )
-    solve = solve_mis if problem == MIS else solve_mvc
+        comparator = learned_mis_comparator(params)
     candidates: list[VertexSet] = []
     if method == METHOD_CMP_MIXED:
         candidates.append(greedy_mis(g) if problem == MIS else greedy_mvc(g))
     for i in range(cfg.num_rollouts):
-        vs, _ = solve(g, comparator, derive_seed(seed, "run", i))
+        run_seed = derive_seed(seed, "run", i)
+        if problem == MIS:
+            vs, _ = solve_mis(g, comparator, run_seed)
+        elif method == METHOD_RANDOM:
+            vs, _ = solve_mvc(g, comparator, run_seed)
+        else:
+            vs = _complement_cover(g, solve_mis(g, comparator, run_seed)[0])
         candidates.append(vs)
     if problem == MIS:
         return max(candidates, key=len)
@@ -175,6 +177,11 @@ def eval_dataset(
             std = (sum((x - mean) ** 2 for x in ratios) / len(ratios)) ** 0.5
             report.aggregates[method] = (mean, std, len(ratios))
     return report
+
+
+def _complement_cover(g: Graph, vs: VertexSet) -> VertexSet:
+    """The complement of an independent set covers every edge."""
+    return VertexSet(frozenset(range(g.n)) - vs.members, VERTEX_COVER)
 
 
 def _ratio(size: int, optimum: int) -> float:

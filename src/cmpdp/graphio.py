@@ -4,8 +4,8 @@ Graph format: header ``p edge <n> <m>``, comment lines starting with ``c``,
 edge lines ``e <u> <v>`` with 1-based ids. The writer emits each edge once
 with u < v, so parse(write(g)) == g.
 
-Solution format: header ``s <size>`` followed by one 1-based vertex id per
-line.
+Solution format: header ``s <size>`` followed by one distinct 1-based vertex
+id per line.
 """
 
 from __future__ import annotations
@@ -83,20 +83,25 @@ def write_solution(vs: VertexSet) -> str:
 
 def parse_solution(text: str) -> frozenset[int]:
     size = None
-    members: list[int] = []
+    members: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("s"):
+            fields = line.split()
+            if fields[0] != "s" or len(fields) != 2:
+                raise GraphFormatError("size line must be 's <size>'", lineno)
             if size is not None:
                 raise GraphFormatError("duplicate size header", lineno)
-            size = _int_field(line.split()[1], lineno)
+            size = _int_field(fields[1], lineno)
         else:
             v = _int_field(line, lineno)
             if v < 1:
                 raise GraphFormatError("vertex ids are 1-based", lineno)
-            members.append(v - 1)
+            if v - 1 in members:
+                raise GraphFormatError(f"vertex {v} listed twice", lineno)
+            members.add(v - 1)
     if size is None:
         raise GraphFormatError("missing 's <size>' header", 1)
     if size != len(members):

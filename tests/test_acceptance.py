@@ -208,6 +208,25 @@ def test_criterion_08_er_training_beats_random(er_run):
         assert mixed_mean - random_mean >= 0.05
 
 
+def test_learned_comparator_beats_the_coin_and_greedy(er_run):
+    """The learned-model gate that criterion 08 is not: cmp-mixed is floored at
+    greedy, and greedy alone clears 08's bounds. Pure cmp must beat the coin
+    on MIS, and on MVC (the complement of its MIS recursion) beat both the
+    coin and greedy."""
+    params, _, _, cfg = er_run
+    held = er_graphs(50, 15, 35, 0.15, seed=82)
+    methods = [METHOD_CMP, METHOD_GREEDY, METHOD_RANDOM]
+    mis = eval_dataset(held, methods, "mis", cfg, seed=83, params=params)
+    mvc = eval_dataset(held, methods, "mvc", cfg, seed=83, params=params)
+    assert mis.skipped_bound == 0 and mvc.skipped_bound == 0
+    mis_mean = {m: agg[0] for m, agg in mis.aggregates.items()}
+    mvc_mean = {m: agg[0] for m, agg in mvc.aggregates.items()}
+    print(f"    mis={mis_mean} mvc={mvc_mean}")
+    assert mis_mean[METHOD_CMP] >= mis_mean[METHOD_RANDOM] + 0.05
+    assert mvc_mean[METHOD_CMP] <= mvc_mean[METHOD_GREEDY]
+    assert mvc_mean[METHOD_CMP] <= mvc_mean[METHOD_RANDOM] - 0.05
+
+
 def test_criterion_09_special_family(special_run):
     with criterion(9, "greedy trap and trained model on the special family"):
         params, cfg = special_run

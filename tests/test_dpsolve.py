@@ -4,6 +4,8 @@ under exact comparators, gadget construction, and roll-out estimates."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmpdp.classic import exact_mis_size, exact_mvc_size, greedy_mis
 from cmpdp.dpsolve import (
@@ -19,7 +21,7 @@ from cmpdp.dpsolve import (
     solve_mvc,
 )
 from cmpdp.generators import GenSpec, generate
-from cmpdp.graph import GraphError, build_graph
+from cmpdp.graph import GraphError, build_graph, remove_vertex, remove_vertices
 from cmpdp.net import init_params
 
 from helpers import random_graph
@@ -139,6 +141,24 @@ class TestMvcGadgets:
         g = build_graph(2, [])
         with pytest.raises(GraphError):
             build_mvc_gadgets(g, 0)
+
+    @given(st.integers(0, 2**32), st.integers(2, 11), st.floats(0.0, 1.0))
+    @settings(max_examples=80, deadline=None)
+    def test_cover_identity_under_exact_oracle(self, seed, n, p):
+        """MVC(g0) = deg(v) + MVC(g - N[v]) and MVC(g1) = 1 + MVC(g - v) at
+        every vertex of positive degree: the MVC counterpart of criterion 01."""
+        g = random_graph(random.Random(seed), n, p)
+        for v in range(g.n):
+            if g.degree(v) == 0:
+                continue
+            gad = build_mvc_gadgets(g, v)
+            outside_closed, _ = remove_vertices(g, (v, *g.adjacency[v]))
+            without_v, _ = remove_vertex(g, v)
+            mvc0 = exact_mvc_size(gad.g0)
+            mvc1 = exact_mvc_size(gad.g1)
+            assert mvc0 == g.degree(v) + exact_mvc_size(outside_closed)
+            assert mvc1 == 1 + exact_mvc_size(without_v)
+            assert min(mvc0, mvc1) == exact_mvc_size(g)
 
 
 class TestSolveMvc:

@@ -19,7 +19,7 @@ from cmpdp.evaluate import (
     run_method,
 )
 from cmpdp.generators import GenSpec, generate
-from cmpdp.graph import GraphError, build_graph
+from cmpdp.graph import VERTEX_COVER, GraphError, build_graph
 from cmpdp.net import init_params
 
 from helpers import random_graph
@@ -148,6 +148,20 @@ def test_run_method_outputs_valid_sets():
                 vs, status = run_method(g, method, problem, cfg(), seed=trial, params=params)
                 assert vs.valid_for(g), (method, problem)
                 assert status == "ok"
+
+
+def test_learned_mvc_is_the_complement_of_learned_mis():
+    rng = random.Random(7)
+    params = init_params(2, 4, 3, seed=3)
+    for trial in range(20):
+        g = random_graph(rng, rng.randint(1, 16), rng.uniform(0.1, 0.6))
+        mis, _ = run_method(g, METHOD_CMP, "mis", cfg(), seed=trial, params=params)
+        mvc, _ = run_method(g, METHOD_CMP, "mvc", cfg(), seed=trial, params=params)
+        assert mvc.members == frozenset(range(g.n)) - mis.members
+        assert mvc.valid_for(g) and mvc.kind == VERTEX_COVER
+        mixed, _ = run_method(g, METHOD_CMP_MIXED, "mvc", cfg(), seed=trial, params=params)
+        greedy, _ = run_method(g, METHOD_GREEDY, "mvc", cfg(), seed=trial)
+        assert len(mixed) == min(len(greedy), len(mvc))
 
 
 def test_csv_emission():

@@ -103,3 +103,19 @@ def test_solution_size_mismatch():
 def test_solution_missing_header():
     with pytest.raises(GraphFormatError):
         parse_solution("1\n2\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("s\n", 1), ("sx\n", 1), ("1\nsx 1\n", 2), ("s 1 1\n1\n", 1), ("s x\n", 1)],
+    ids=["bare-s", "sx", "sx-after-vertex", "extra-field", "non-integer"],
+)
+def test_solution_malformed_size_line_reports_line(text, line):
+    with pytest.raises(GraphFormatError) as err:
+        parse_solution(text)
+    assert err.value.line == line
+
+
+def test_solution_repeated_vertex_reports_line():
+    with pytest.raises(GraphFormatError, match="line 3: vertex 1 listed twice"):
+        parse_solution("s 2\n1\n1\n")
