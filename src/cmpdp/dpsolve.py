@@ -112,14 +112,12 @@ def random_comparator(seed: int) -> Comparator:
 @dataclass(frozen=True)
 class RecursionStep:
     """One branching decision: the graph it was made on, the picked vertex
-    (local and original ids), the two candidate subgraphs, and the choice."""
+    (local id), and the two candidate subgraphs."""
 
     graph: Graph
     vertex: int
-    vertex_original: int
     g0: Graph
     g1: Graph
-    choice: int
 
 
 @dataclass
@@ -127,16 +125,6 @@ class Trajectory:
     steps: list[RecursionStep] = field(default_factory=list)
     terminal_graph: Graph | None = None
     result: VertexSet | None = None
-
-    def to_lines(self) -> list[str]:
-        """One step per line, for debugging dumps."""
-        lines = []
-        for i, s in enumerate(self.steps):
-            lines.append(
-                f"step={i} n={s.graph.n} m={s.graph.m} v={s.vertex} orig={s.vertex_original}"
-                f" choice={s.choice} g0=({s.g0.n},{s.g0.m}) g1=({s.g1.n},{s.g1.m})"
-            )
-        return lines
 
 
 def solve_mis(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, Trajectory]:
@@ -155,7 +143,7 @@ def solve_mis(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, T
         g0, map0 = remove_vertex(cur, v)
         g1, map1 = remove_neighbors(cur, v)
         choice = 1 if comparator(g0, g1) else 0
-        traj.steps.append(RecursionStep(cur, v, to_original[v], g0, g1, choice))
+        traj.steps.append(RecursionStep(cur, v, g0, g1))
         nxt, mapping = (g0, map0) if choice == 0 else (g1, map1)
         cur, to_original = nxt, [to_original[old] for old in mapping]  # mapping is ascending
     members = frozenset(to_original)
@@ -239,7 +227,7 @@ def solve_mvc(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, T
         v = candidates[rng.randrange(len(candidates))]
         gad = build_mvc_gadgets(cur, v)
         choice = 1 if comparator(gad.g0, gad.g1) else 0
-        traj.steps.append(RecursionStep(cur, v, source[v], gad.g0, gad.g1, choice))
+        traj.steps.append(RecursionStep(cur, v, gad.g0, gad.g1))
         gsel, sel_source, sel_copy = (
             (gad.g0, gad.g0_source, gad.g0_is_copy)
             if choice == 0

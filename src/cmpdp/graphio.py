@@ -2,7 +2,8 @@
 
 Graph format: header ``p edge <n> <m>``, comment lines starting with ``c``,
 edge lines ``e <u> <v>`` with 1-based ids. The writer emits each edge once
-with u < v, so parse(write(g)) == g.
+with u < v, so parse(write(g)) == g. A header may declare at most
+``MAX_VERTICES`` vertices.
 
 Solution format: header ``s <size>`` followed by one distinct 1-based vertex
 id per line.
@@ -13,6 +14,10 @@ from __future__ import annotations
 from pathlib import Path
 
 from .graph import Graph, VertexSet, build_graph
+
+# The learned scorer builds a dense n x n float64 adjacency: 800 MB at this
+# size. Checked at the header, before one adjacency set per vertex is built.
+MAX_VERTICES = 10_000
 
 
 class GraphFormatError(ValueError):
@@ -42,6 +47,8 @@ def parse_graph(text: str | bytes) -> Graph:
             _int_field(fields[3], lineno)
             if n < 0:
                 raise GraphFormatError("negative vertex count", lineno)
+            if n > MAX_VERTICES:
+                raise GraphFormatError(f"{n} vertices exceed the limit of {MAX_VERTICES}", lineno)
         elif fields[0] == "e":
             if n is None:
                 raise GraphFormatError("edge before header", lineno)

@@ -19,19 +19,27 @@ once and copying it to all n vertices yields the very same bits, and round
 0's weight gradients are exact zeros, so the backward pass stops after its
 bias and norm gradients. The zero row still goes through round 0's weight
 products, so a non-finite round-0 weight is still reported.
+
+Parameters, gradients and Adam moments are each one float64 vector in
+:func:`param_layout` order (``CmpParams.flat``), which is also the order of
+the weight file's body, so copying, zeroing, summing, Adam and
+(de)serialization are single vector operations. The named tensors of
+``CmpParams`` are reshaped views into that vector: code writes into them and
+never rebinds a list entry.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import platform
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, NamedTuple
+from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
 from scipy.special import erf, expit
@@ -141,6 +149,10 @@ class TensorSpec(NamedTuple):
 @functools.lru_cache(maxsize=32)
 def param_layout(rounds: int, width: int, head_layers: int) -> tuple[TensorSpec, ...]:
     """Every tensor of a geometry, in the canonical serialization order."""
+    if rounds < 1 or width < 1:
+        raise WeightDimensionError("rounds and width must be at least 1")
+    if head_layers < 2:
+        raise WeightDimensionError("head_layers must be at least 2")
     w3 = 3 * width
     out = []
     for k in range(rounds):
@@ -175,23 +187,44 @@ class CmpParams:
     with bias vectors (width), plus layer-norm scale/shift (3*width). The head
     holds ``head_layers`` linear layers sized by :func:`head_dims`, each hidden
     layer with its own layer-norm scale/shift. :func:`param_layout` lists them.
+
+    ``flat`` is the storage: one float64 vector holding every tensor in
+    :func:`param_layout` order, which is also the serialization order. The
+    named lists (``self_w[k]`` ... ``head_norm_shift[i]``) are reshaped views
+    into ``flat``, built once at construction. Code writes into them
+    (``p.head_b[0][0] = x``, ``t += d``) and never rebinds a list entry, which
+    would detach it from ``flat``.
     """
 
     rounds: int
     width: int
     head_layers: int
-    self_w: list[np.ndarray] = field(default_factory=list)
-    self_b: list[np.ndarray] = field(default_factory=list)
-    neigh_w: list[np.ndarray] = field(default_factory=list)
-    neigh_b: list[np.ndarray] = field(default_factory=list)
-    anti_w: list[np.ndarray] = field(default_factory=list)
-    anti_b: list[np.ndarray] = field(default_factory=list)
-    norm_scale: list[np.ndarray] = field(default_factory=list)
-    norm_shift: list[np.ndarray] = field(default_factory=list)
-    head_w: list[np.ndarray] = field(default_factory=list)
-    head_b: list[np.ndarray] = field(default_factory=list)
-    head_norm_scale: list[np.ndarray] = field(default_factory=list)
-    head_norm_shift: list[np.ndarray] = field(default_factory=list)
+    flat: np.ndarray
+    self_w: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    self_b: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    neigh_w: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    neigh_b: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    anti_w: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    anti_b: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    norm_scale: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    norm_shift: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    head_w: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    head_b: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    head_norm_scale: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    head_norm_shift: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        layout = param_layout(self.rounds, self.width, self.head_layers)
+        want = param_count(self.rounds, self.width, self.head_layers)
+        if self.flat.shape != (want,) or self.flat.dtype != np.float64:
+            raise WeightDimensionError(
+                f"flat: expected {want} float64 values, got shape {self.flat.shape} of {self.flat.dtype}"
+            )
+        off = 0
+        for spec in layout:
+            size = math.prod(spec.shape)
+            getattr(self, spec.field).append(self.flat[off : off + size].reshape(spec.shape))
+            off += size
 
     def tensors(self) -> Iterator[tuple[str, np.ndarray]]:
         """Yield (name, live array) in the canonical serialization order."""
@@ -199,59 +232,32 @@ class CmpParams:
             yield spec.name, getattr(self, spec.field)[spec.index]
 
     def copy(self) -> "CmpParams":
-        return _params_from_layout(
-            self.rounds, self.width, self.head_layers, lambda spec: getattr(self, spec.field)[spec.index].copy()
-        )
+        return CmpParams(self.rounds, self.width, self.head_layers, self.flat.copy())
 
     def check_shapes(self) -> None:
-        if self.head_layers < 2:
-            raise WeightDimensionError("head_layers must be at least 2")
-        layout = param_layout(self.rounds, self.width, self.head_layers)
-        for name in _TENSOR_FIELDS:
-            want = sum(spec.field == name for spec in layout)
-            if len(getattr(self, name)) != want:
-                raise WeightDimensionError(f"{name}: expected {want} entries")
-        for spec, (_, arr) in zip(layout, self.tensors()):
-            if arr.shape != spec.shape:
-                raise WeightDimensionError(f"{spec.name}: expected {spec.shape}, got {arr.shape}")
-        for _, arr in self.tensors():
-            if not np.isfinite(arr).all():
-                raise NonFiniteError("parameter tensor contains non-finite values")
-
-
-_TENSOR_FIELDS = tuple(f.name for f in fields(CmpParams))[3:]
-
-
-def _params_from_layout(
-    rounds: int, width: int, head_layers: int, make: Callable[[TensorSpec], np.ndarray]
-) -> CmpParams:
-    """CmpParams whose every tensor is ``make(spec)``, built in layout order."""
-    p = CmpParams(rounds, width, head_layers)
-    for spec in param_layout(rounds, width, head_layers):
-        getattr(p, spec.field).append(make(spec))
-    return p
+        """The constructor fixes every shape; what is left to check is that
+        every value is finite."""
+        if not np.isfinite(self.flat).all():
+            raise NonFiniteError("parameter tensor contains non-finite values")
 
 
 def zeros_like_params(p: CmpParams) -> CmpParams:
-    return _params_from_layout(p.rounds, p.width, p.head_layers, lambda spec: np.zeros(spec.shape))
+    return CmpParams(p.rounds, p.width, p.head_layers, np.zeros_like(p.flat))
 
 
 def init_params(rounds: int, width: int, head_layers: int, seed: int) -> CmpParams:
     """Fan-in-scaled uniform weights and biases; norm scale 1, shift 0.
-    Deterministic per seed."""
-    if rounds < 1 or width < 1:
-        raise WeightDimensionError("rounds and width must be at least 1")
-    if head_layers < 2:
-        raise WeightDimensionError("head_layers must be at least 2")
-    rng = np.random.default_rng(seed)
-
-    def init(spec: TensorSpec) -> np.ndarray:
-        if spec.fan_in:
-            bound = 1.0 / np.sqrt(spec.fan_in)
-            return rng.uniform(-bound, bound, spec.shape)
-        return np.ones(spec.shape) if spec.field.endswith("scale") else np.zeros(spec.shape)
-
-    return _params_from_layout(rounds, width, head_layers, init)
+    Deterministic per seed: the draws fill the weights and biases in layout
+    order."""
+    layout = param_layout(rounds, width, head_layers)
+    sizes = [math.prod(spec.shape) for spec in layout]
+    fan_in = np.repeat([spec.fan_in for spec in layout], sizes)
+    is_scale = np.repeat([spec.field.endswith("scale") for spec in layout], sizes)
+    p = CmpParams(rounds, width, head_layers, is_scale.astype(np.float64))
+    drawn = fan_in > 0
+    bound = 1.0 / np.sqrt(fan_in[drawn])
+    p.flat[drawn] = np.random.default_rng(seed).uniform(-bound, bound)
+    return p
 
 
 @dataclass
@@ -460,15 +466,16 @@ def _backprop(params: CmpParams, trace: ForwardTrace, dlogit: float, grads: CmpP
 
 @dataclass
 class AdamState:
-    """First/second moments, in the CmpParams layout, plus the shared step counter."""
+    """First/second moments, each a float64 vector in the ``CmpParams.flat``
+    layout, plus the shared step counter."""
 
     step: int
-    m: CmpParams
-    v: CmpParams
+    m: np.ndarray
+    v: np.ndarray
 
 
 def init_adam(params: CmpParams) -> AdamState:
-    return AdamState(0, zeros_like_params(params), zeros_like_params(params))
+    return AdamState(0, np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def adam_step(
@@ -481,33 +488,24 @@ def adam_step(
     eps: float = 1e-8,
 ) -> tuple[CmpParams, AdamState]:
     """One bias-corrected Adam update; inputs are not mutated."""
+    t = state.step + 1
+    gr = grads.flat
+    m = state.m * beta1
+    m += (1.0 - beta1) * gr
+    v = state.v * beta2
+    v += (1.0 - beta2) * gr * gr
     new_params = params.copy()
-    new_state = AdamState(state.step + 1, state.m.copy(), state.v.copy())
-    t = new_state.step
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
-    for (_, tensor), (_, gr), (_, m), (_, v) in zip(
-        new_params.tensors(), grads.tensors(), new_state.m.tensors(), new_state.v.tensors()
-    ):
-        m *= beta1
-        m += (1.0 - beta1) * gr
-        v *= beta2
-        v += (1.0 - beta2) * gr * gr
-        tensor -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-    return new_params, new_state
+    new_params.flat -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    return new_params, AdamState(t, m, v)
 
 
 def params_to_bytes(params: CmpParams) -> bytes:
-    """MAGIC, then rounds/width/head_layers as little-endian int64, then every
-    tensor in canonical order as little-endian float64, then a CRC32."""
-    parts = [MAGIC]
+    """MAGIC, then rounds/width/head_layers as little-endian int64, then
+    ``params.flat`` (every tensor in canonical order) as little-endian
+    float64, then a CRC32."""
     header = np.array([params.rounds, params.width, params.head_layers], dtype="<i8")
-    parts.append(header.tobytes())
-    for _, tensor in params.tensors():
-        parts.append(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
-    body = b"".join(parts)
-    crc = np.array([zlib.crc32(body)], dtype="<u4").tobytes()
-    return body + crc
+    body = MAGIC + header.tobytes() + params.flat.astype("<f8", copy=False).tobytes()
+    return body + np.array([zlib.crc32(body)], dtype="<u4").tobytes()
 
 
 def params_from_bytes(data: bytes, expect: tuple[int, int, int] | None = None) -> CmpParams:
@@ -524,7 +522,8 @@ def params_from_bytes(data: bytes, expect: tuple[int, int, int] | None = None) -
         for name, got, want in zip(("rounds", "width", "head_layers"), (rounds, width, head_layers), expect):
             if got != want:
                 raise WeightDimensionError(f"{name}: file has {got}, expected {want}")
-    total = off + 8 * param_count(rounds, width, head_layers) + 4
+    count = param_count(rounds, width, head_layers)
+    total = off + 8 * count + 4
     if len(data) < total:
         raise WeightTruncatedError(f"expected {total} bytes, got {len(data)}")
     if len(data) > total:
@@ -532,15 +531,8 @@ def params_from_bytes(data: bytes, expect: tuple[int, int, int] | None = None) -
     stored = int(np.frombuffer(data, dtype="<u4", count=1, offset=total - 4)[0])
     if zlib.crc32(data[: total - 4]) != stored:
         raise WeightChecksumError("checksum mismatch")
-
-    def read(spec: TensorSpec) -> np.ndarray:
-        nonlocal off
-        size = int(np.prod(spec.shape))
-        flat = np.frombuffer(data, dtype="<f8", count=size, offset=off)
-        off += size * 8
-        return flat.reshape(spec.shape).astype(np.float64)
-
-    return _params_from_layout(rounds, width, head_layers, read)
+    flat = np.frombuffer(data, dtype="<f8", count=count, offset=off).astype(np.float64)
+    return CmpParams(rounds, width, head_layers, flat)
 
 
 def save_params(params: CmpParams, dest: str | Path | BinaryIO) -> None:

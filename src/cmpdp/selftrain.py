@@ -50,7 +50,6 @@ class PairSample:
     label: int
     est_g: int
     est_gp: int
-    origin: tuple[int, int]  # (harvest seed, recursion-step index)
 
 
 @dataclass
@@ -120,9 +119,7 @@ def harvest_pairs(
         est1 = estimate(step.g1, derive_seed(seed, "est", idx, 1))
         if cfg.drop_ties and est0 == est1:
             continue
-        samples.append(
-            PairSample(step.g0, step.g1, int(est0 < est1), est0, est1, (seed, idx))
-        )
+        samples.append(PairSample(step.g0, step.g1, int(est0 < est1), est0, est1))
     return samples
 
 
@@ -168,13 +165,13 @@ def _cross_pairs(
         return cache[g]
 
     out = []
-    for idx in range(len(samples)):
+    for _ in samples:
         a, b = rng.sample(range(len(pool)), 2)
         ga, gb = pool[a], pool[b]
         ea, eb = est(ga), est(gb)
         if cfg.drop_ties and ea == eb:
             continue
-        out.append(PairSample(ga, gb, int(ea < eb), ea, eb, (seed, idx)))
+        out.append(PairSample(ga, gb, int(ea < eb), ea, eb))
     return out
 
 
@@ -266,10 +263,8 @@ def train(dataset: Sequence[Graph], cfg: RunConfig) -> tuple[CmpParams, list[Met
                 for sample in batch:
                     loss, grads = pair_loss_and_grad(params, sample.g, sample.g_prime, sample.label)
                     losses.append(loss)
-                    for (_, acc), (_, gr) in zip(total.tensors(), grads.tensors()):
-                        acc += gr
-                for _, acc in total.tensors():
-                    acc /= len(batch)
+                    total.flat += grads.flat
+                total.flat /= len(batch)
                 params, state = adam_step(params, grads=total, state=state, lr=cfg.lr)
             train_loss = sum(losses) / len(losses) if losses else 0.0
             val_loss, val_acc = _validate(params, val_split)

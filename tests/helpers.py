@@ -146,6 +146,25 @@ def finite_difference_grads(
     return grads
 
 
+def reference_adam(params: CmpParams, grads_seq, lr: float, beta1: float = 0.9,
+                   beta2: float = 0.999, eps: float = 1e-8) -> dict[str, np.ndarray]:
+    """Bias-corrected Adam written tensor by tensor, with one moment pair per
+    tensor: {name: tensor} after one update per gradient in ``grads_seq``."""
+    tensors = {name: t.copy() for name, t in params.tensors()}
+    m = {name: np.zeros_like(t) for name, t in tensors.items()}
+    v = {name: np.zeros_like(t) for name, t in tensors.items()}
+    for t, grads in enumerate(grads_seq, start=1):
+        c1 = 1.0 - beta1**t
+        c2 = 1.0 - beta2**t
+        for name, gr in grads.tensors():
+            m[name] *= beta1
+            m[name] += (1.0 - beta1) * gr
+            v[name] *= beta2
+            v[name] += (1.0 - beta2) * gr * gr
+            tensors[name] -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+    return tensors
+
+
 def relative_mismatch(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """Boolean mask of components whose relative difference exceeds tol;
     components tiny on both sides pass."""

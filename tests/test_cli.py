@@ -141,6 +141,14 @@ def test_solve_missing_graph_is_runtime_error(tmp_path):
     assert rc == 2
 
 
+def test_solve_huge_vertex_count_is_runtime_error(tmp_path, capsys):
+    gpath = tmp_path / "huge.col"
+    gpath.write_text("p edge 300000000 0\n")
+    rc = run_cli(["solve", "--graph", str(gpath), "--method", "greedy", "--problem", "mis"])
+    assert rc == 2
+    assert "exceed the limit" in capsys.readouterr().err
+
+
 def test_eval_empty_dataset_dir_is_usage_error(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -102,13 +102,6 @@ class TestSolveMis:
         vs, _ = solve_mis(g, learned_mis_comparator(params), seed=4)
         assert vs.valid_for(g)
 
-    def test_trajectory_lines(self):
-        g = random_graph(random.Random(2), 8, 0.5)
-        _, traj = solve_mis(g, random_comparator(0), seed=1)
-        lines = traj.to_lines()
-        assert len(lines) == len(traj.steps)
-        assert all(line.startswith("step=") for line in lines)
-
 
 class TestMvcGadgets:
     def test_single_edge(self):

@@ -6,6 +6,7 @@ import pytest
 
 from cmpdp.graph import INDEPENDENT_SET, VertexSet, build_graph
 from cmpdp.graphio import (
+    MAX_VERTICES,
     GraphFormatError,
     parse_graph,
     parse_solution,
@@ -49,6 +50,13 @@ def test_non_integer_token_reports_line():
 def test_malformed_header():
     with pytest.raises(GraphFormatError, match="line 1"):
         parse_graph("p graph 3 1\n")
+
+
+def test_vertex_count_over_the_cap_reports_line():
+    assert parse_graph(f"p edge {MAX_VERTICES} 0\n").n == MAX_VERTICES
+    for n in (MAX_VERTICES + 1, 300_000_000):
+        with pytest.raises(GraphFormatError, match="line 2: .*exceed the limit"):
+            parse_graph(f"c huge\np edge {n} 0\n")
 
 
 def test_missing_header():

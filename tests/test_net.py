@@ -39,7 +39,14 @@ from cmpdp.net import (
     zeros_like_params,
 )
 
-from helpers import HOSTILE_GEOMETRIES, hostile_header, pairwise_loss_value, random_graph, straight_line_logit
+from helpers import (
+    HOSTILE_GEOMETRIES,
+    hostile_header,
+    pairwise_loss_value,
+    random_graph,
+    reference_adam,
+    straight_line_logit,
+)
 
 
 def zeroed(params: CmpParams) -> CmpParams:
@@ -97,6 +104,23 @@ class TestInit:
             init_params(0, 4, 3, seed=0)
         with pytest.raises(WeightDimensionError):
             init_params(1, 4, 1, seed=0)
+
+
+class TestFlatStorage:
+    def test_wrong_length_or_dtype_rejected(self):
+        n = param_count(2, 4, 3)
+        for flat in (np.zeros(n - 1), np.zeros(n + 1), np.zeros(0), np.zeros((1, n)), np.zeros(n, np.float32)):
+            with pytest.raises(WeightDimensionError, match="flat"):
+                CmpParams(2, 4, 3, flat)
+
+    def test_views_write_through_and_copy_does_not_alias(self):
+        p = init_params(2, 4, 3, seed=1)
+        q = p.copy()
+        p.head_b[0][0] = 7.0
+        assert np.array_equal(p.flat, np.concatenate([t.ravel() for _, t in p.tensors()]))
+        assert params_from_bytes(params_to_bytes(p)).head_b[0][0] == 7.0
+        assert q.head_b[0][0] != 7.0
+        assert not np.shares_memory(p.flat, q.flat)
 
 
 class TestForward:
@@ -295,6 +319,19 @@ class TestAdam:
         assert sa.step == sb.step == 1
         for (_, x), (_, y) in zip(p.tensors(), snapshot.tensors()):
             assert np.array_equal(x, y)
+
+
+    def test_matches_per_tensor_reference(self):
+        p = init_params(2, 4, 3, seed=5)
+        rng = np.random.default_rng(0)
+        grads_seq = [CmpParams(2, 4, 3, rng.normal(size=p.flat.size)) for _ in range(3)]
+        q, state = p, init_adam(p)
+        for grads in grads_seq:
+            q, state = adam_step(q, grads, state, lr=0.01)
+        want = reference_adam(p, grads_seq, lr=0.01)
+        assert state.step == 3
+        for name, tensor in q.tensors():
+            assert np.array_equal(tensor, want[name]), name
 
 
 class TestWeightFile:

@@ -162,7 +162,7 @@ class TestConsistency:
     def test_accepts_pair_samples(self):
         params = init_params(1, 2, 2, seed=0)
         g = random_graph(random.Random(2), 8, 0.3)
-        sample = PairSample(g, g, 0, 1, 1, (0, 0))
+        sample = PairSample(g, g, 0, 1, 1)
         assert measure_consistency(params, [sample], 1, seed=0) == 1.0
 
 
