@@ -38,8 +38,6 @@ class RunConfig:
     width: int = 32
     head_layers: int = 4
     val_fraction: float = 0.2
-    drop_ties: bool = False
-    cross_pairs: bool = False
     consistency_pairs: int = 32
     exact_budget: int = 2_000_000
     local_search_seconds: float = 1.0

@@ -124,7 +124,6 @@ class RecursionStep:
 class Trajectory:
     steps: list[RecursionStep] = field(default_factory=list)
     terminal_graph: Graph | None = None
-    result: VertexSet | None = None
 
 
 def solve_mis(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, Trajectory]:
@@ -146,11 +145,8 @@ def solve_mis(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, T
         traj.steps.append(RecursionStep(cur, v, g0, g1))
         nxt, mapping = (g0, map0) if choice == 0 else (g1, map1)
         cur, to_original = nxt, [to_original[old] for old in mapping]  # mapping is ascending
-    members = frozenset(to_original)
-    result = VertexSet(members, INDEPENDENT_SET)
     traj.terminal_graph = cur
-    traj.result = result
-    return result, traj
+    return VertexSet(frozenset(to_original), INDEPENDENT_SET), traj
 
 
 @dataclass(frozen=True)
@@ -240,10 +236,8 @@ def solve_mvc(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, T
     for x, y in cur.edges():
         picked = min(x, y, key=lambda t: (is_copy[t], source[t], t))
         cover.add(source[picked])
-    result = VertexSet(frozenset(cover), VERTEX_COVER)
     traj.terminal_graph = cur
-    traj.result = result
-    return result, traj
+    return VertexSet(frozenset(cover), VERTEX_COVER), traj
 
 
 def rollout_estimate(g: Graph, comparator: Comparator, num_rollouts: int, seed: int) -> int:

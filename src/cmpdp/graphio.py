@@ -3,7 +3,8 @@
 Graph format: header ``p edge <n> <m>``, comment lines starting with ``c``,
 edge lines ``e <u> <v>`` with 1-based ids. The writer emits each edge once
 with u < v, so parse(write(g)) == g. A header may declare at most
-``MAX_VERTICES`` vertices.
+``MAX_VERTICES`` vertices, and its ``m`` must equal the number of distinct
+edges (a repeated edge, in either order, counts once).
 
 Solution format: header ``s <size>`` followed by one distinct 1-based vertex
 id per line.
@@ -31,8 +32,8 @@ class GraphFormatError(ValueError):
 def parse_graph(text: str | bytes) -> Graph:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    n = None
-    edges: list[tuple[int, int]] = []
+    n = m = header_line = None
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -44,7 +45,8 @@ def parse_graph(text: str | bytes) -> Graph:
             if len(fields) != 4 or fields[1] != "edge":
                 raise GraphFormatError("header must be 'p edge <n> <m>'", lineno)
             n = _int_field(fields[2], lineno)
-            _int_field(fields[3], lineno)
+            m = _int_field(fields[3], lineno)
+            header_line = lineno
             if n < 0:
                 raise GraphFormatError("negative vertex count", lineno)
             if n > MAX_VERTICES:
@@ -60,11 +62,13 @@ def parse_graph(text: str | bytes) -> Graph:
                 raise GraphFormatError(f"vertex id out of range 1..{n}", lineno)
             if u == v:
                 raise GraphFormatError(f"self-loop at {u}", lineno)
-            edges.append((u - 1, v - 1))
+            edges.add((min(u, v) - 1, max(u, v) - 1))
         else:
             raise GraphFormatError(f"unknown line type {fields[0]!r}", lineno)
     if n is None:
         raise GraphFormatError("missing 'p edge' header", 1)
+    if m != len(edges):
+        raise GraphFormatError(f"header declares {m} edges, found {len(edges)} distinct", header_line)
     return build_graph(n, edges)
 
 

@@ -50,6 +50,11 @@ def test_bool_parsing(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="momentum"):
         load_config(write_cfg(tmp_path, "momentum=0.9\n"), env={})
+    for key in ("drop_ties", "cross_pairs"):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_config(write_cfg(tmp_path, f"{key}=true\n"), env={})
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_config(None, env={f"CMPDP_{key.upper()}": "true"})
 
 
 def test_invalid_value_names_key(tmp_path):

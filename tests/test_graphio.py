@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmpdp.graph import INDEPENDENT_SET, VertexSet, build_graph
 from cmpdp.graphio import (
@@ -57,6 +59,19 @@ def test_vertex_count_over_the_cap_reports_line():
     for n in (MAX_VERTICES + 1, 300_000_000):
         with pytest.raises(GraphFormatError, match="line 2: .*exceed the limit"):
             parse_graph(f"c huge\np edge {n} 0\n")
+
+
+def test_edge_count_must_match_distinct_edges():
+    with pytest.raises(GraphFormatError, match="line 1: header declares 99 edges, found 1") as exc:
+        parse_graph("p edge 3 99\ne 1 2\n")
+    assert exc.value.line == 1
+    with pytest.raises(GraphFormatError, match="line 2: header declares 0 edges, found 1"):
+        parse_graph("c header on line 2\np edge 3 0\ne 2 3\n")
+    # a repeated edge, in either order, counts once
+    repeated = "e 1 2\ne 2 1\ne 1 2\n"
+    assert parse_graph("p edge 3 1\n" + repeated).m == 1
+    with pytest.raises(GraphFormatError, match="line 1: header declares 3 edges, found 1"):
+        parse_graph("p edge 3 3\n" + repeated)
 
 
 def test_missing_header():
@@ -127,3 +142,47 @@ def test_solution_malformed_size_line_reports_line(text, line):
 def test_solution_repeated_vertex_reports_line():
     with pytest.raises(GraphFormatError, match="line 3: vertex 1 listed twice"):
         parse_solution("s 2\n1\n1\n")
+
+
+# Characters that build or break the format's tokens, beside arbitrary ones.
+EDIT_CHARS = "0123456789 -+pecx\n\t"
+EDITS = ("insert", "replace", "delete", "drop-line", "copy-line", "swap-lines")
+
+
+@st.composite
+def mutated_graph_text(draw):
+    """The text of a valid graph file after one to four random character or
+    line edits."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+    text = "c generated\n" + write_graph(build_graph(n, edges))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(EDITS))
+        if kind in ("insert", "replace", "delete"):
+            i = draw(st.integers(0, len(text)))
+            c = draw(st.sampled_from(EDIT_CHARS) | st.characters())
+            tail = text[i:] if kind == "insert" else text[i + 1 :]
+            text = text[:i] + ("" if kind == "delete" else c) + tail
+        else:
+            lines = text.split("\n")
+            i = draw(st.integers(0, len(lines) - 1))
+            j = draw(st.integers(0, len(lines) - 1))
+            if kind == "drop-line":
+                del lines[i]
+            elif kind == "copy-line":
+                lines.insert(j, lines[i])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_graph_text())
+def test_mutated_text_parses_to_a_valid_graph_or_raises_format_error(text):
+    try:
+        g = parse_graph(text)
+    except GraphFormatError:
+        return
+    g.check()

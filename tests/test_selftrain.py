@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -53,14 +54,10 @@ class TestHarvest:
 
     def test_triangle_first_step(self):
         params = init_params(1, 2, 2, seed=0)
-        samples = harvest_pairs(build_graph(3, [(0, 1), (1, 2), (0, 2)]), params, small_cfg(), 3)
-        assert 1 <= len(samples) <= 2
-        first = samples[0]
-        # first branch pair: an edge-graph against a lone vertex, both with
-        # optimum 1, hence a tie labeled 0
-        assert {first.g.n, first.g_prime.n} == {2, 1}
-        assert first.est_g == first.est_gp == 1
-        assert first.label == 0
+        # every branch pair of a triangle ties at optimum 1 (an edge against a
+        # lone vertex, then, on the edge, a lone vertex against a lone vertex),
+        # and tied pairs are never stored
+        assert harvest_pairs(build_graph(3, [(0, 1), (1, 2), (0, 2)]), params, small_cfg(), 3) == []
 
     def test_pairs_per_graph_cap(self):
         params = init_params(1, 2, 2, seed=0)
@@ -86,7 +83,8 @@ class TestHarvest:
     def test_drop_ties(self):
         params = init_params(1, 3, 2, seed=1)
         g = random_graph(random.Random(3), 12, 0.3)
-        kept = harvest_pairs(g, params, small_cfg(drop_ties=True, pairs_per_graph=8), seed=5)
+        kept = harvest_pairs(g, params, small_cfg(pairs_per_graph=8), seed=5)
+        assert kept
         assert all(s.est_g != s.est_gp for s in kept)
 
 
@@ -115,13 +113,6 @@ class TestRefreshBuffer:
             assert len(buf.val) == 2
         assert len(buf.val) == int(len(buf) * 0.2)
         assert not set(map(id, buf.val)) & set(map(id, buf.train))
-
-    def test_cross_pairs_add_samples(self):
-        params = init_params(1, 2, 2, seed=0)
-        data = er_dataset(4, 10, 0.4, seed=1)
-        plain = refresh_buffer(data, params, small_cfg(), seed=3)
-        crossed = refresh_buffer(data, params, small_cfg(cross_pairs=True), seed=3)
-        assert len(crossed) > len(plain)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty dataset"):
@@ -235,6 +226,14 @@ class TestTrain:
         header, *body = text.strip().splitlines()
         assert header == "epoch,refresh_index,train_loss,val_loss,val_pair_accuracy,consistency,wall_seconds"
         assert len(body) == 2
+
+    def test_logs_the_kept_epoch(self, caplog):
+        data = er_dataset(3, 10, 0.3, seed=0)
+        with caplog.at_level("INFO", logger="cmpdp.selftrain"):
+            train(data, small_cfg(total_epochs=2))
+        kept = [rec.message for rec in caplog.records if rec.message.startswith("kept")]
+        assert len(kept) == 1
+        assert re.fullmatch(r"kept the parameters of epoch [01] \(val_loss \S+\)", kept[0])
 
     def test_degenerate_buffer_warns_but_trains(self, caplog):
         # triangles only: every harvested pair ties at estimate 1
