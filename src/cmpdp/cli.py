@@ -24,7 +24,7 @@ from .evaluate import (
 from .generators import MODELS, GenSpec, generate
 from .graph import Graph, GraphError
 from .graphio import GraphFormatError, read_graph_file, write_graph_file, write_solution
-from .net import WeightFileError, load_params, save_params
+from .net import NonFiniteError, WeightFileError, load_params, save_params
 from .selftrain import harvest_pairs, measure_consistency, metrics_to_csv, train
 
 
@@ -64,6 +64,7 @@ def run_cli(argv: list[str]) -> int:
         GraphFormatError,
         GraphTooLargeError,
         WeightFileError,
+        NonFiniteError,
         OSError,
         ValueError,
     ) as exc:

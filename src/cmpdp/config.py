@@ -6,6 +6,7 @@ so a flag can replace a bad lower-precedence value."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -44,6 +45,9 @@ class RunConfig:
     local_search_moves: int = 2000
 
     def validate(self) -> None:
+        for key in ("lr", "local_search_seconds"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite")
         for key in (
             "batch_size",
             "num_rollouts",

@@ -63,40 +63,30 @@ def _cached_scorer(params: CmpParams) -> Callable[[Graph], float]:
     return score
 
 
+def _keep_unless_better(score: Callable[[Graph], float], higher_is_better: bool) -> Comparator:
+    """Keep branch 0 unless branch 1 scores strictly better; ties keep branch 0."""
+    if higher_is_better:
+        return lambda g0, g1: int(score(g0) < score(g1))
+    return lambda g0, g1: int(score(g0) > score(g1))
+
+
 def learned_mis_comparator(params: CmpParams) -> Comparator:
-    """Keep the branch the scorer ranks at least as high; ties keep branch 0."""
-    score = _cached_scorer(params)
-
-    def compare(g0: Graph, g1: Graph) -> int:
-        return 1 if score(g0) < score(g1) else 0
-
-    return compare
+    return _keep_unless_better(_cached_scorer(params), higher_is_better=True)
 
 
 def learned_mvc_comparator(params: CmpParams) -> Comparator:
-    """Keep branch 0 unless it scores strictly higher: a flipped MIS score,
-    which does not estimate the gadget branches' cover sizes. No library path
-    calls it; it is kept only because the benchmark wraps this name."""
-    score = _cached_scorer(params)
-
-    def compare(g0: Graph, g1: Graph) -> int:
-        return 1 if score(g0) > score(g1) else 0
-
-    return compare
+    """A flipped MIS score, which does not estimate the gadget branches' cover
+    sizes. No library path calls it; it is kept only because the benchmark
+    wraps this name."""
+    return _keep_unless_better(_cached_scorer(params), higher_is_better=False)
 
 
 def oracle_mis_comparator() -> Comparator:
-    def compare(g0: Graph, g1: Graph) -> int:
-        return 1 if exact_mis_size(g0) < exact_mis_size(g1) else 0
-
-    return compare
+    return _keep_unless_better(exact_mis_size, higher_is_better=True)
 
 
 def oracle_mvc_comparator() -> Comparator:
-    def compare(g0: Graph, g1: Graph) -> int:
-        return 1 if exact_mvc_size(g0) > exact_mvc_size(g1) else 0
-
-    return compare
+    return _keep_unless_better(exact_mvc_size, higher_is_better=False)
 
 
 def random_comparator(seed: int) -> Comparator:

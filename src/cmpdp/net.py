@@ -532,6 +532,8 @@ def params_from_bytes(data: bytes, expect: tuple[int, int, int] | None = None) -
     if zlib.crc32(data[: total - 4]) != stored:
         raise WeightChecksumError("checksum mismatch")
     flat = np.frombuffer(data, dtype="<f8", count=count, offset=off).astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise WeightFormatError("weight file holds a non-finite value")
     return CmpParams(rounds, width, head_layers, flat)
 
 

@@ -5,7 +5,10 @@ by running the current comparator-guided solver on sampled training graphs,
 taking sibling branch pairs from the recursion steps, and annotating each pair
 with roll-out (or greedy-floored) size estimates; (2) several epochs of
 mini-batch Adam on the pair classification loss. Labels always come from the
-model's own roll-outs, never from an exact solver.
+model's own roll-outs, never from an exact solver. Training returns the
+parameters of its last epoch: each refresh labels pairs under the latest
+model, and each refresh's validation split is new, so validation losses from
+different refreshes are not comparable and pick no checkpoint.
 
 A pair whose two estimates are equal is never stored. Its label would say
 "keep g", a preference the estimates do not support, and about half of all
@@ -18,7 +21,7 @@ from __future__ import annotations
 import logging
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Sequence
 
 from .config import RunConfig
@@ -79,30 +82,14 @@ class MetricsRow:
     wall_seconds: float
 
 
-METRICS_COLUMNS = (
-    "epoch",
-    "refresh_index",
-    "train_loss",
-    "val_loss",
-    "val_pair_accuracy",
-    "consistency",
-    "wall_seconds",
-)
-
-
 def metrics_to_csv(rows: Iterable[MetricsRow]) -> str:
-    lines = [",".join(METRICS_COLUMNS)]
+    lines = [",".join(f.name for f in fields(MetricsRow))]
     for r in rows:
         lines.append(
             f"{r.epoch},{r.refresh_index},{r.train_loss:.6f},{r.val_loss:.6f},"
             f"{r.val_pair_accuracy:.6f},{r.consistency:.6f},{r.wall_seconds:.3f}"
         )
     return "\n".join(lines) + "\n"
-
-
-def _estimator(cfg: RunConfig, comparator: Comparator) -> Callable[[Graph, int], int]:
-    fn = mixed_estimate if cfg.mixed else rollout_estimate
-    return lambda g, seed: fn(g, comparator, cfg.num_rollouts, seed)
 
 
 def harvest_pairs(
@@ -118,12 +105,12 @@ def harvest_pairs(
     rng = random.Random(derive_seed(seed, "pick"))
     count = min(cfg.pairs_per_graph, len(traj.steps))
     indices = sorted(rng.sample(range(len(traj.steps)), count))
-    estimate = _estimator(cfg, comparator)
+    estimate = mixed_estimate if cfg.mixed else rollout_estimate
     samples = []
     for idx in indices:
         step = traj.steps[idx]
-        est0 = estimate(step.g0, derive_seed(seed, "est", idx, 0))
-        est1 = estimate(step.g1, derive_seed(seed, "est", idx, 1))
+        est0 = estimate(step.g0, comparator, cfg.num_rollouts, derive_seed(seed, "est", idx, 0))
+        est1 = estimate(step.g1, comparator, cfg.num_rollouts, derive_seed(seed, "est", idx, 1))
         if est0 == est1:
             continue
         samples.append(PairSample(step.g0, step.g1, int(est0 < est1), est0, est1))
@@ -196,9 +183,9 @@ def consistency_fraction(
 
 
 def train(dataset: Sequence[Graph], cfg: RunConfig) -> tuple[CmpParams, list[MetricsRow]]:
-    """Full self-training run; returns the best-validation-loss parameters
-    (logging, at info level, the epoch they come from) and one metrics row
-    per epoch.
+    """Full self-training run; returns the parameters of the last Adam step
+    (the initial parameters when no step was taken, as with ``total_epochs``
+    0) and one metrics row per epoch.
 
     Consistency is measured at every buffer refresh (the first measurement,
     before any update, is the random-initialization value) and carried into
@@ -210,9 +197,6 @@ def train(dataset: Sequence[Graph], cfg: RunConfig) -> tuple[CmpParams, list[Met
         raise ValueError("empty dataset")
     params = init_params(cfg.rounds, cfg.width, cfg.head_layers, cfg.seed)
     state = init_adam(params)
-    best_loss = float("inf")
-    best_params = params.copy()
-    best_epoch = None
     rows: list[MetricsRow] = []
     started = time.monotonic()
     epoch = 0
@@ -247,10 +231,6 @@ def train(dataset: Sequence[Graph], cfg: RunConfig) -> tuple[CmpParams, list[Met
                 params, state = adam_step(params, grads=total, state=state, lr=cfg.lr)
             train_loss = sum(losses) / len(losses) if losses else 0.0
             val_loss, val_acc = _validate(params, val_split)
-            if val_loss < best_loss:
-                best_loss = val_loss
-                best_params = params.copy()
-                best_epoch = epoch
             rows.append(
                 MetricsRow(
                     epoch=epoch,
@@ -264,11 +244,7 @@ def train(dataset: Sequence[Graph], cfg: RunConfig) -> tuple[CmpParams, list[Met
             )
             epoch += 1
         refresh_index += 1
-    if best_epoch is None:
-        log.info("kept the initial parameters")
-    else:
-        log.info("kept the parameters of epoch %d (val_loss %.6f)", best_epoch, best_loss)
-    return best_params, rows
+    return params, rows
 
 
 def _validate(params: CmpParams, split: list[PairSample]) -> tuple[float, float]:

@@ -125,6 +125,17 @@ def test_solve_hostile_weight_header_is_runtime_error(graph_file, tmp_path, geom
     assert capsys.readouterr().err.startswith("error: expected ")
 
 
+def test_solve_non_finite_weights_is_runtime_error(graph_file, tmp_path, capsys):
+    params = init_params(2, 4, 3, seed=0)
+    params.flat[7] = float("nan")
+    wpath = tmp_path / "nan.cmp"
+    save_params(params, wpath)
+    rc = run_cli(["solve", "--graph", str(graph_file), "--method", "cmp", "--problem", "mis",
+                  "--weights", str(wpath)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: weight file holds a non-finite value\n"
+
+
 def test_solve_default_solution_path(graph_file):
     rc = run_cli(["solve", "--graph", str(graph_file), "--method", "greedy",
                   "--problem", "mis"])
@@ -285,6 +296,27 @@ def test_solve_takes_its_seed_from_the_config(tmp_path, monkeypatch):
     assert solve() == by_flag
     monkeypatch.setenv("CMPDP_SEED", "0")
     assert solve("--seed", "5") == by_flag
+
+
+TINY_TRAIN = ["--epochs", "2", "--epochs-per-refresh", "1", "--rounds", "1", "--width", "4",
+              "--head-layers", "2", "--graphs-per-refresh", "2", "--pairs-per-graph", "3"]
+
+
+def test_train_non_finite_lr_is_runtime_error(tiny_dataset, tmp_path, capsys):
+    rc = run_cli(["train", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "w.cmp"),
+                  "--metrics", str(tmp_path / "m.csv"), "--lr", "nan"] + TINY_TRAIN)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: lr must be finite\n"
+    assert not (tmp_path / "w.cmp").exists()
+
+
+def test_train_diverging_is_runtime_error(tiny_dataset, tmp_path, capsys):
+    rc = run_cli(["train", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "w.cmp"),
+                  "--metrics", str(tmp_path / "m.csv"), "--lr", "1e300"] + TINY_TRAIN)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite ") and err.count("\n") == 1
+    assert not (tmp_path / "w.cmp").exists()
 
 
 def test_flag_replaces_invalid_env_value(tiny_dataset, tmp_path, monkeypatch, capsys):

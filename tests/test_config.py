@@ -64,6 +64,17 @@ def test_invalid_value_names_key(tmp_path):
         load_config(write_cfg(tmp_path, "batch_size=huge\n"), env={})
 
 
+@pytest.mark.parametrize("key", ["lr", "local_search_seconds"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_names_key(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        load_config(write_cfg(tmp_path, f"{key}={value}\n"), env={})
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        load_config(None, env={f"CMPDP_{key.upper()}": value})
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        load_config(None, env={}, flags={key: float(value)})
+
+
 def test_missing_equals_reports_line(tmp_path):
     with pytest.raises(ConfigError, match="line 2"):
         load_config(write_cfg(tmp_path, "lr=0.1\njust words\n"), env={})

@@ -12,6 +12,7 @@ from cmpdp.dpsolve import (
     build_mvc_gadgets,
     derive_seed,
     learned_mis_comparator,
+    learned_mvc_comparator,
     mixed_estimate,
     oracle_mis_comparator,
     oracle_mvc_comparator,
@@ -22,7 +23,7 @@ from cmpdp.dpsolve import (
 )
 from cmpdp.generators import GenSpec, generate
 from cmpdp.graph import GraphError, build_graph, remove_vertex, remove_vertices
-from cmpdp.net import init_params
+from cmpdp.net import init_params, score_graph
 
 from helpers import random_graph
 
@@ -101,6 +102,37 @@ class TestSolveMis:
         g = random_graph(random.Random(1), 10, 0.3)
         vs, _ = solve_mis(g, learned_mis_comparator(params), seed=4)
         assert vs.valid_for(g)
+
+
+class TestComparatorFactories:
+    def test_each_factory_follows_its_rule(self):
+        # every ordered pair of a fixed corpus, identical pairs included: MIS
+        # factories take branch 1 only on a strictly higher score, MVC
+        # factories only on a strictly lower one, so a tie keeps branch 0
+        rng = random.Random(21)
+        corpus = [random_graph(rng, rng.randint(2, 9), 0.4) for _ in range(12)]
+        pairs = [(a, b) for a in corpus for b in corpus]
+        params = init_params(2, 4, 3, seed=5)
+
+        def logit(g):
+            return score_graph(params, g)[0]
+
+        cases = [
+            (learned_mis_comparator(params), lambda g0, g1: int(logit(g1) > logit(g0))),
+            (learned_mvc_comparator(params), lambda g0, g1: int(logit(g1) < logit(g0))),
+            (oracle_mis_comparator(), lambda g0, g1: int(exact_mis_size(g1) > exact_mis_size(g0))),
+            (oracle_mvc_comparator(), lambda g0, g1: int(exact_mvc_size(g1) < exact_mvc_size(g0))),
+        ]
+        for comparator, rule in cases:
+            decisions = [comparator(g0, g1) for g0, g1 in pairs]
+            assert decisions == [rule(g0, g1) for g0, g1 in pairs]
+            assert set(decisions) == {0, 1}
+
+    def test_random_comparator_draws_are_unchanged(self):
+        coin = random_comparator(17)
+        reference = random.Random(17)
+        g = triangle()
+        assert [coin(g, g) for _ in range(50)] == [reference.randrange(2) for _ in range(50)]
 
 
 class TestMvcGadgets:

@@ -378,6 +378,14 @@ class TestWeightFile:
         with pytest.raises(WeightChecksumError):
             params_from_bytes(bytes(data))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_body_is_format_error(self, value):
+        p = init_params(1, 2, 2, seed=0)
+        p.flat[5] = value
+        data = params_to_bytes(p)  # the checksum covers the bad value
+        with pytest.raises(WeightFormatError, match="non-finite"):
+            params_from_bytes(data)
+
     def test_file_roundtrip(self, tmp_path):
         p = init_params(2, 3, 4, seed=11)
         path = tmp_path / "weights.cmp"

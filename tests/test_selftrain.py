@@ -2,10 +2,11 @@
 
 import math
 import random
-import re
 
+import numpy as np
 import pytest
 
+from cmpdp import selftrain
 from cmpdp.classic import exact_mis_size, greedy_mis
 from cmpdp.config import RunConfig
 from cmpdp.dpsolve import oracle_mis_comparator, random_comparator
@@ -227,13 +228,29 @@ class TestTrain:
         assert header == "epoch,refresh_index,train_loss,val_loss,val_pair_accuracy,consistency,wall_seconds"
         assert len(body) == 2
 
-    def test_logs_the_kept_epoch(self, caplog):
-        data = er_dataset(3, 10, 0.3, seed=0)
-        with caplog.at_level("INFO", logger="cmpdp.selftrain"):
-            train(data, small_cfg(total_epochs=2))
-        kept = [rec.message for rec in caplog.records if rec.message.startswith("kept")]
-        assert len(kept) == 1
-        assert re.fullmatch(r"kept the parameters of epoch [01] \(val_loss \S+\)", kept[0])
+    def test_returns_the_last_adam_step(self, monkeypatch):
+        # validation loss rises every epoch, so a pick by lowest val_loss
+        # would return the parameters of epoch 0
+        validated = []
+
+        def rising_validate(params, split):
+            validated.append(params.copy())
+            return float(len(validated)), 0.5
+
+        stepped = []
+        real_adam_step = selftrain.adam_step
+
+        def recording_adam_step(*args, **kwargs):
+            out = real_adam_step(*args, **kwargs)
+            stepped.append(out[0])
+            return out
+
+        monkeypatch.setattr(selftrain, "_validate", rising_validate)
+        monkeypatch.setattr(selftrain, "adam_step", recording_adam_step)
+        params, rows = train(er_dataset(3, 10, 0.3, seed=0), small_cfg(total_epochs=4))
+        assert [r.val_loss for r in rows] == [1.0, 2.0, 3.0, 4.0]
+        assert not np.array_equal(validated[0].flat, stepped[-1].flat)
+        assert np.array_equal(params.flat, stepped[-1].flat)
 
     def test_degenerate_buffer_warns_but_trains(self, caplog):
         # triangles only: every harvested pair ties at estimate 1
