@@ -11,6 +11,8 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .classic import GraphTooLargeError
 from .config import ConfigError, RunConfig, load_config
 from .dpsolve import derive_seed
@@ -54,7 +56,9 @@ def run_cli(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args) or 0
+        # a diverging run is reported once, by the NonFiniteError it raises
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args) or 0
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -16,8 +16,9 @@ from pathlib import Path
 
 from .graph import Graph, VertexSet, build_graph
 
-# The learned scorer builds a dense n x n float64 adjacency: 800 MB at this
-# size. Checked at the header, before one adjacency set per vertex is built.
+# A learned solve takes up to n branch steps of two scorer forwards each, and
+# one forward at this size takes about 60 ms, so its solves run for minutes.
+# Checked at the header, before one adjacency set per vertex is built.
 MAX_VERTICES = 10_000
 
 

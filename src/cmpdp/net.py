@@ -9,16 +9,26 @@ dense head whose last layer sees the last hidden output concatenated with the
 first hidden output (a skip connection), producing one logit.
 
 Everything is float64 numpy with hand-derived gradients; there is no autodiff
-and no batching across graphs. The neighbor sum is a product with the dense
-n x n adjacency and the non-neighbor sum is (global sum - neighbor sum -
-self), so one round costs O(n^2 w + n w^2).
+and no batching across graphs, and nothing of size n x n is built.
 
-Round 0 runs on a single row. Its inputs are the zero embeddings, so it sees
-only its biases and gives every vertex the same output; computing that row
-once and copying it to all n vertices yields the very same bits, and round
-0's weight gradients are exact zeros, so the backward pass stops after its
-bias and norm gradients. The zero row still goes through round 0's weight
-products, so a non-finite round-0 weight is still reported.
+Each round runs on the rows it really has (the 1-WL colour argument for
+message-passing networks). Round 0's inputs are the zero embeddings, so it
+sees only its biases and gives every vertex the same row: it runs on one
+row, its weight gradients are exact zeros, and the backward pass stops after
+its bias and norm gradients (the zero row still goes through round 0's
+weight products, so a non-finite round-0 weight is still reported). Round
+1's inputs are then that shared row, so a vertex's output depends on its
+degree alone: it runs on one row per distinct degree. Round 2 runs per
+vertex; its neighbour sums are ``H @ T1``, where ``T1`` holds round 1's
+class rows and ``H[u, c]`` counts u's neighbours in degree class c. Later
+rounds sum neighbours straight from the edge list. The non-neighbour sum is
+(sum over all vertices - neighbour sum - self), and pooling is the
+count-weighted mean of the last round's rows. A round multiplies its weights
+into the previous round's rows before it sums them, so one from r' rows to
+r rows costs O(r' w^2) for the products, O(n c w) for round 2's c classes or
+O(m w) for a later round's edge sums, and O(r w) for GELU and the layer
+norm. The backward pass carries the same rows, each holding the total
+gradient of the vertices it stands for.
 
 Parameters, gradients and Adam moments are each one float64 vector in
 :func:`param_layout` order (``CmpParams.flat``), which is also the order of
@@ -260,19 +270,80 @@ def init_params(rounds: int, width: int, head_layers: int, seed: int) -> CmpPara
     return p
 
 
+class _EdgeList:
+    """A graph's adjacency held as its edge list and applied like the matrix:
+    ``a @ x`` sums the rows of ``x`` over each vertex's neighbours. The
+    adjacency is symmetric, so ``a.T`` is ``a``."""
+
+    def __init__(self, degrees: np.ndarray, cols: np.ndarray):
+        self.cols = cols  # neighbours, vertex by vertex
+        self.starts = np.cumsum(degrees) - degrees
+        self.isolated = degrees == 0
+
+    @property
+    def T(self) -> "_EdgeList":
+        return self
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        # a trailing zero row gives every vertex's run, empty or last, a
+        # valid start; reduceat returns a lone row for an empty run
+        gathered = np.zeros((self.cols.size + 1, x.shape[1]))
+        np.take(x, self.cols, axis=0, out=gathered[:-1])
+        out = np.add.reduceat(gathered, self.starts, axis=0)
+        out[self.isolated] = 0.0
+        return out
+
+
+def _round_maps(g: Graph, rounds: int) -> tuple[list, list, list]:
+    """For each message round: how many vertices each of its rows stands for,
+    and the maps from the previous round's rows to its own input and its
+    neighbour sum (see :class:`ForwardTrace`)."""
+    n = g.n
+    degrees = np.fromiter(map(len, g.adjacency), np.intp, n)
+    per_degree = np.bincount(degrees)
+    class_degree = per_degree.nonzero()[0]
+    classes = class_degree.size
+    vertex_class = class_degree.searchsorted(degrees)
+    row_count = [np.array([float(n)]), per_degree[class_degree].astype(np.float64)]
+    own_map = [None, np.ones((classes, 1))]
+    neigh_map = [None, class_degree[:, None].astype(np.float64)]
+    if rounds > 2:
+        cols = np.fromiter(chain.from_iterable(g.adjacency), np.intp, 2 * g.m)
+        # entry (u, c): how many of u's neighbours are in degree class c
+        cell = np.repeat(np.arange(0, n * classes, classes), degrees)
+        cell += vertex_class[cols]
+        row_count.append(np.ones(n))
+        own_map.append(np.eye(classes)[vertex_class])
+        neigh_map.append(np.bincount(cell, minlength=n * classes).reshape(n, classes).astype(np.float64))
+    if rounds > 3:
+        row_count += [row_count[2]] * (rounds - 3)
+        own_map += [None] * (rounds - 3)
+        neigh_map += [_EdgeList(degrees, cols)] * (rounds - 3)
+    return row_count[:rounds], own_map[:rounds], neigh_map[:rounds]
+
+
 @dataclass
 class ForwardTrace:
-    """Intermediates of one forward pass, enough to run the backward pass."""
+    """Intermediates of one forward pass, enough to run the backward pass.
+
+    Each round computes one row per set of vertices that must share its
+    output: round 0 one row for all n vertices, round 1 one row per distinct
+    degree, later rounds one row per vertex. Round k >= 1 reads round k-1's
+    rows, after its weights, through two maps applied as ``map @ rows``:
+    ``own_map[k]`` gives each row its own input (None for the identity) and
+    ``neigh_map[k]`` its neighbour sum. Its non-neighbour sum is the sum over
+    all vertices, ``row_count[k - 1] @ rows``, less those two."""
 
     n: int
-    adj: np.ndarray | None = None          # (n, n) dense adjacency
-    node_emb: list[np.ndarray] = field(default_factory=list)   # rounds+1 of (n, 3w)
-    # per round, one row per vertex; round 0's hold the single row every vertex shares
-    neigh_sum: list[np.ndarray] = field(default_factory=list)
-    anti_sum: list[np.ndarray] = field(default_factory=list)
+    row_count: list[np.ndarray] = field(default_factory=list)  # per round, vertices per row
+    own_map: list = field(default_factory=list)      # per round; None at round 0
+    neigh_map: list = field(default_factory=list)    # per round; None at round 0
+    # [0] the (n, 3w) zero initial embeddings; [k + 1] the output rows of round k
+    node_emb: list[np.ndarray] = field(default_factory=list)
+    # per round, one entry per row of that round
     pre_act: list[np.ndarray] = field(default_factory=list)    # concat before GELU
     normed: list[np.ndarray] = field(default_factory=list)     # layer-norm x-hat
-    inv_std: list[np.ndarray] = field(default_factory=list)    # (n, 1)
+    inv_std: list[np.ndarray] = field(default_factory=list)    # (rows, 1)
     graph_emb: np.ndarray | None = None    # (3w,) mean-pooled
     head_pre: list[np.ndarray] = field(default_factory=list)
     head_normed: list[np.ndarray] = field(default_factory=list)
@@ -289,37 +360,32 @@ def score_graph(params: CmpParams, g: Graph) -> tuple[float, ForwardTrace]:
     if n == 0:
         return 0.0, ForwardTrace(n=0)
     w3 = 3 * params.width
-    degrees = [len(row) for row in g.adjacency]
-    rows = np.repeat(np.arange(n), degrees)
-    cols = np.fromiter(chain.from_iterable(g.adjacency), np.intp, sum(degrees))
-    adj = np.zeros((n, n))
-    adj[rows, cols] = 1.0
-    trace = ForwardTrace(n=n, adj=adj)
+    trace = ForwardTrace(n, *_round_maps(g, params.rounds))
     trace.node_emb.append(np.zeros((n, w3)))
     emb = np.zeros((1, w3))  # round 0's input: the shared zero row of every vertex
     for k in range(params.rounds):
-        if k == 0:
-            neigh = anti = emb
-        else:
-            neigh = adj @ emb
-            anti = emb.sum(axis=0) - neigh - emb
-        a = emb @ params.self_w[k].T + params.self_b[k]
-        b = neigh @ params.neigh_w[k].T + params.neigh_b[k]
-        c = anti @ params.anti_w[k].T + params.anti_b[k]
-        pre = np.concatenate((a, b, c), axis=1)
+        # the weights act on the previous round's rows; the maps then sum the
+        # products, which is the product of the sums
+        a = emb @ params.self_w[k].T
+        b = emb @ params.neigh_w[k].T
+        c = emb @ params.anti_w[k].T
+        if k > 0:  # round 0's zero row is its own neighbour and non-neighbour sum
+            own_map, neigh_map = trace.own_map[k], trace.neigh_map[k]
+            own_c = c
+            if own_map is not None:
+                a, own_c = own_map @ a, own_map @ c
+            b = neigh_map @ b
+            c = trace.row_count[k - 1] @ c - neigh_map @ c - own_c
+        pre = np.concatenate((a + params.self_b[k], b + params.neigh_b[k], c + params.anti_b[k]), axis=1)
         xhat, inv = _layer_norm(gelu(pre), axis=1)
         emb = xhat * params.norm_scale[k] + params.norm_shift[k]
         if not np.isfinite(emb).all():
             raise NonFiniteError(f"non-finite embedding after message round {k}")
-        if k == 0:
-            emb = np.repeat(emb, n, axis=0)
-        trace.neigh_sum.append(neigh)
-        trace.anti_sum.append(anti)
         trace.pre_act.append(pre)
         trace.normed.append(xhat)
         trace.inv_std.append(inv)
         trace.node_emb.append(emb)
-    pooled = emb.mean(axis=0)
+    pooled = trace.row_count[-1] @ emb / n
     trace.graph_emb = pooled
     x = pooled
     for i in range(params.head_layers - 1):
@@ -377,25 +443,33 @@ def logit_pair_loss(z0: float, z1: float, label: int) -> float:
 
 
 def pair_loss_and_grad(
-    params: CmpParams, g: Graph, g_prime: Graph, label: int
+    params: CmpParams, g: Graph, g_prime: Graph, label: int, grads: CmpParams | None = None
 ) -> tuple[float, CmpParams]:
     """Loss plus exact analytic gradients for every parameter tensor.
 
     label 1 means g_prime is annotated as the graph with the larger optimum.
-    The gradient object reuses the CmpParams layout.
+    The gradient reuses the CmpParams layout. It is added into ``grads`` when
+    one is given, such as a batch total, and into a new zero gradient
+    otherwise; either is returned.
     """
     z0, t0 = score_graph(params, g)
     z1, t1 = score_graph(params, g_prime)
     loss = logit_pair_loss(z0, z1, label)
     dz1 = float(expit(z1 - z0)) - label
-    grads = zeros_like_params(params)
+    if grads is None:
+        grads = zeros_like_params(params)
     _backprop(params, t1, dz1, grads)
     _backprop(params, t0, -dz1, grads)
     return loss, grads
 
 
 def _backprop(params: CmpParams, trace: ForwardTrace, dlogit: float, grads: CmpParams) -> None:
-    """Accumulate d(loss)/d(params) for one graph's forward trace."""
+    """Accumulate d(loss)/d(params) for one graph's forward trace.
+
+    Each round's gradient is carried as one row per row of the forward: the
+    total over the vertices that row stands for. That is exact, because the
+    gradients through GELU and the layer norm are linear in the upstream
+    gradient, with coefficients that are the same for every vertex of a row."""
     if trace.n == 0:
         return  # constant logit, nothing to propagate
     n = trace.n
@@ -430,7 +504,7 @@ def _backprop(params: CmpParams, trace: ForwardTrace, dlogit: float, grads: CmpP
     if not np.isfinite(dpooled).all():
         raise NonFiniteError("non-finite gradient entering the pooling layer")
 
-    demb = np.tile(dpooled / n, (n, 1))
+    demb = np.outer(trace.row_count[-1], dpooled / n)
     for k in range(params.rounds - 1, -1, -1):
         xhat = trace.normed[k]
         inv = trace.inv_std[k]
@@ -451,14 +525,18 @@ def _backprop(params: CmpParams, trace: ForwardTrace, dlogit: float, grads: CmpP
             if not np.isfinite(dpre).all():
                 raise NonFiniteError("non-finite gradient in message round 0")
             break
-        grads.self_w[k] += da.T @ trace.node_emb[k]
-        grads.neigh_w[k] += db.T @ trace.neigh_sum[k]
-        grads.anti_w[k] += dc.T @ trace.anti_sum[k]
-        demb_k = da @ params.self_w[k]
-        ds = db @ params.neigh_w[k]
-        demb_k += trace.adj @ ds
-        dt = dc @ params.anti_w[k]
-        demb_k += dt.sum(axis=0) - trace.adj @ dt - dt
+        # back through the maps to the previous round's rows, then the weights
+        own_map, neigh_map = trace.own_map[k], trace.neigh_map[k]
+        dc_own = dc
+        if own_map is not None:
+            da, dc_own = own_map.T @ da, own_map.T @ dc
+        db = neigh_map.T @ db
+        dc = np.outer(trace.row_count[k - 1], dc.sum(axis=0)) - neigh_map.T @ dc - dc_own
+        prev = trace.node_emb[k]
+        grads.self_w[k] += da.T @ prev
+        grads.neigh_w[k] += db.T @ prev
+        grads.anti_w[k] += dc.T @ prev
+        demb_k = da @ params.self_w[k] + db @ params.neigh_w[k] + dc @ params.anti_w[k]
         if not np.isfinite(demb_k).all():
             raise NonFiniteError(f"non-finite gradient in message round {k}")
         demb = demb_k

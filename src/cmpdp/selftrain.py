@@ -224,9 +224,8 @@ def train(dataset: Sequence[Graph], cfg: RunConfig) -> tuple[CmpParams, list[Met
                 batch = order[start : start + cfg.batch_size]
                 total = zeros_like_params(params)
                 for sample in batch:
-                    loss, grads = pair_loss_and_grad(params, sample.g, sample.g_prime, sample.label)
+                    loss, _ = pair_loss_and_grad(params, sample.g, sample.g_prime, sample.label, total)
                     losses.append(loss)
-                    total.flat += grads.flat
                 total.flat /= len(batch)
                 params, state = adam_step(params, grads=total, state=state, lr=cfg.lr)
             train_loss = sum(losses) / len(losses) if losses else 0.0

@@ -23,6 +23,18 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return build_graph(n, edges)
 
 
+def degree_class_graphs() -> dict[str, Graph]:
+    """Shapes that stress the scorer's grouping of vertices by degree: few
+    classes, a single class, empty neighbour runs first and last in the edge
+    list, and degree values with gaps between them."""
+    return {
+        "star": build_graph(7, [(0, v) for v in range(1, 7)]),
+        "edgeless": build_graph(5, []),
+        "isolated": build_graph(8, [(1, 2), (2, 3), (1, 3), (3, 5)]),
+        "degree-gap": build_graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (2, 6)]),
+    }
+
+
 def brute_force_mis_size(g: Graph) -> int:
     """Enumerate all 2^n subsets; usable up to n ~ 16."""
     masks = [sum(1 << u for u in g.adjacency[v]) for v in range(g.n)]

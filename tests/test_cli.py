@@ -1,6 +1,7 @@
 """End-to-end CLI runs through run_cli (no subprocesses)."""
 
 import csv
+import warnings
 
 import pytest
 
@@ -311,8 +312,11 @@ def test_train_non_finite_lr_is_runtime_error(tiny_dataset, tmp_path, capsys):
 
 
 def test_train_diverging_is_runtime_error(tiny_dataset, tmp_path, capsys):
-    rc = run_cli(["train", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "w.cmp"),
-                  "--metrics", str(tmp_path / "m.csv"), "--lr", "1e300"] + TINY_TRAIN)
+    # numpy's own overflow warnings would precede the error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run_cli(["train", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "w.cmp"),
+                      "--metrics", str(tmp_path / "m.csv"), "--lr", "1e300"] + TINY_TRAIN)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite ") and err.count("\n") == 1

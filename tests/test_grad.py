@@ -3,16 +3,18 @@
 import random
 
 import numpy as np
+import pytest
 
-from cmpdp.net import init_params, pair_loss_and_grad
+from cmpdp.net import init_params, pair_loss_and_grad, zeros_like_params
 
-from helpers import finite_difference_grads, random_graph, relative_mismatch
+from helpers import degree_class_graphs, finite_difference_grads, random_graph, relative_mismatch
 
 
-def check_triple(seed: int, rounds: int = 2, width: int = 4, head_layers: int = 4):
+def check_triple(seed: int, rounds: int = 2, width: int = 4, head_layers: int = 4, g=None):
     rng = random.Random(seed)
     params = init_params(rounds, width, head_layers, seed=seed)
-    g = random_graph(rng, rng.randint(2, 8), 0.3 + 0.4 * rng.random())
+    if g is None:
+        g = random_graph(rng, rng.randint(2, 8), 0.3 + 0.4 * rng.random())
     gp = random_graph(rng, rng.randint(2, 8), 0.3 + 0.4 * rng.random())
     label = rng.randrange(2)
     _, analytic = pair_loss_and_grad(params, g, gp, label)
@@ -44,6 +46,27 @@ def test_gradients_match_minimal_head():
 def test_gradients_match_deeper_head():
     bad, total = check_triple(seed=23, rounds=3, width=3, head_layers=5)
     assert bad / total <= 0.01
+
+
+@pytest.mark.parametrize("rounds", [2, 4, 5])
+@pytest.mark.parametrize("shape", ["random"] + sorted(degree_class_graphs()))
+def test_gradients_match_on_degree_class_shapes(shape, rounds):
+    # round 1 runs per degree class, round 2 on class counts, later rounds on the edge list
+    bad, total = check_triple(seed=rounds, rounds=rounds, width=3, head_layers=3,
+                              g=degree_class_graphs().get(shape))
+    assert bad / total <= 0.01, f"{bad}/{total} components off"
+
+
+def test_gradient_accumulates_into_a_given_total():
+    rng = random.Random(4)
+    params = init_params(3, 4, 3, seed=4)
+    pairs = [(random_graph(rng, 7, 0.4), random_graph(rng, 9, 0.3), label) for label in (0, 1)]
+    total = zeros_like_params(params)
+    for g, gp, label in pairs:
+        _, out = pair_loss_and_grad(params, g, gp, label, grads=total)
+        assert out is total
+    fresh = sum(pair_loss_and_grad(params, g, gp, label)[1].flat for g, gp, label in pairs)
+    assert np.allclose(total.flat, fresh, rtol=1e-12, atol=1e-15)
 
 
 def test_gradient_sign_reduces_loss():

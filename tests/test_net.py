@@ -41,6 +41,7 @@ from cmpdp.net import (
 
 from helpers import (
     HOSTILE_GEOMETRIES,
+    degree_class_graphs,
     hostile_header,
     pairwise_loss_value,
     random_graph,
@@ -142,11 +143,14 @@ class TestForward:
         assert len(trace.node_emb) == 3
 
     def test_straight_line_oracle(self):
-        p = init_params(2, 3, 4, seed=0)
-        for g in (triangle(), path3(), build_graph(6, [(0, 3), (1, 4), (2, 5), (0, 5)])):
-            fast, _ = score_graph(p, g)
-            slow = straight_line_logit(p, g)
-            assert math.isclose(fast, slow, rel_tol=1e-9, abs_tol=1e-12)
+        graphs = [triangle(), path3(), build_graph(6, [(0, 3), (1, 4), (2, 5), (0, 5)])]
+        graphs += degree_class_graphs().values()
+        for rounds in (2, 4, 5):
+            p = init_params(rounds, 3, 4, seed=rounds)
+            for g in graphs:
+                fast, _ = score_graph(p, g)
+                slow = straight_line_logit(p, g)
+                assert math.isclose(fast, slow, rel_tol=1e-9, abs_tol=1e-12), (rounds, g)
 
     def test_seed0_k3_vs_p3_reproducible(self):
         p = init_params(3, 4, 4, seed=0)
@@ -191,6 +195,36 @@ class TestForward:
         getattr(p, tensor)[0][0, 0] = value
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="round 0"):
             score_graph(p, triangle())
+
+
+def sparse_graph(n: int, m: int, seed: int):
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return build_graph(n, edges)
+
+
+class TestMemory:
+    # a dense n x n float64 adjacency alone is 800 MB at n = 10,000
+    GRAPHS = {"sparse": lambda: sparse_graph(10_000, 15_000, seed=3),
+              "star": lambda: build_graph(10_000, [(0, v) for v in range(1, 10_000)])}
+
+    @pytest.mark.parametrize("geometry", [(3, 32, 4), (4, 32, 4)])
+    @pytest.mark.parametrize("shape", ["sparse", "star"])
+    def test_forward_peak_stays_linear_in_the_graph(self, geometry, shape):
+        import tracemalloc
+
+        g = self.GRAPHS[shape]()
+        p = init_params(*geometry, seed=0)
+        tracemalloc.start()
+        try:
+            score_graph(p, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200e6, f"{peak / 1e6:.0f} MB"
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
