@@ -194,6 +194,8 @@ def _cmd_gen(args) -> int:
     hi = args.n if args.n is not None else args.n_max
     if lo > hi:
         raise CliUsageError("--n-min must not exceed --n-max")
+    if args.count < 1:
+        raise CliUsageError("--count must be positive")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(args.seed)
@@ -271,6 +273,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_consistency(args) -> int:
+    if args.pairs < 1:
+        raise CliUsageError("--pairs must be positive")
     cfg = _load_cfg(args)
     graphs, _ = _load_dataset(args.dataset)
     lines = ["index,weights,pairs,consistency"]

@@ -38,7 +38,6 @@ class RunConfig:
     rounds: int = 3
     width: int = 32
     head_layers: int = 4
-    val_fraction: float = 0.2
     consistency_pairs: int = 32
     exact_budget: int = 2_000_000
     local_search_seconds: float = 1.0
@@ -68,8 +67,6 @@ class RunConfig:
             raise ValueError("head_layers must be at least 2")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in [0, 1)")
 
 
 def load_config(

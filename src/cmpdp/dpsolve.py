@@ -14,6 +14,7 @@ oracle and the random coin.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass, field
@@ -49,16 +50,9 @@ _SCORE_CACHE_LIMIT = 200_000
 def _cached_scorer(params: CmpParams) -> Callable[[Graph], float]:
     """Parameters are fixed for the closure's lifetime, so logits can be
     memoized; recursion tails revisit the same small subgraphs constantly."""
-    cache: dict[Graph, float] = {}
-
+    @functools.lru_cache(maxsize=_SCORE_CACHE_LIMIT)
     def score(g: Graph) -> float:
-        logit = cache.get(g)
-        if logit is None:
-            logit = score_graph(params, g)[0]
-            if len(cache) >= _SCORE_CACHE_LIMIT:
-                cache.clear()
-            cache[g] = logit
-        return logit
+        return score_graph(params, g)[0]
 
     return score
 
@@ -101,19 +95,18 @@ def random_comparator(seed: int) -> Comparator:
 
 @dataclass(frozen=True)
 class RecursionStep:
-    """One branching decision: the graph it was made on, the picked vertex
-    (local id), and the two candidate subgraphs."""
+    """One branching decision: the two candidate subgraphs the comparator
+    chose between, in the order it saw them."""
 
-    graph: Graph
-    vertex: int
     g0: Graph
     g1: Graph
 
 
 @dataclass
 class Trajectory:
+    """A solve's branching decisions in order; harvest samples its pairs from them."""
+
     steps: list[RecursionStep] = field(default_factory=list)
-    terminal_graph: Graph | None = None
 
 
 def solve_mis(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, Trajectory]:
@@ -129,13 +122,12 @@ def solve_mis(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, T
     while cur.m > 0:
         candidates = [v for v, row in enumerate(cur.adjacency) if row]
         v = candidates[rng.randrange(len(candidates))]
-        g0, map0 = remove_vertex(cur, v)
-        g1, map1 = remove_neighbors(cur, v)
+        g0, kept0 = remove_vertex(cur, v)
+        g1, kept1 = remove_neighbors(cur, v)
         choice = 1 if comparator(g0, g1) else 0
-        traj.steps.append(RecursionStep(cur, v, g0, g1))
-        nxt, mapping = (g0, map0) if choice == 0 else (g1, map1)
-        cur, to_original = nxt, [to_original[old] for old in mapping]  # mapping is ascending
-    traj.terminal_graph = cur
+        traj.steps.append(RecursionStep(g0, g1))
+        cur, kept = (g0, kept0) if choice == 0 else (g1, kept1)
+        to_original = [to_original[old] for old in kept]
     return VertexSet(frozenset(to_original), INDEPENDENT_SET), traj
 
 
@@ -213,7 +205,7 @@ def solve_mvc(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, T
         v = candidates[rng.randrange(len(candidates))]
         gad = build_mvc_gadgets(cur, v)
         choice = 1 if comparator(gad.g0, gad.g1) else 0
-        traj.steps.append(RecursionStep(cur, v, gad.g0, gad.g1))
+        traj.steps.append(RecursionStep(gad.g0, gad.g1))
         gsel, sel_source, sel_copy = (
             (gad.g0, gad.g0_source, gad.g0_is_copy)
             if choice == 0
@@ -226,7 +218,6 @@ def solve_mvc(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, T
     for x, y in cur.edges():
         picked = min(x, y, key=lambda t: (is_copy[t], source[t], t))
         cover.add(source[picked])
-    traj.terminal_graph = cur
     return VertexSet(frozenset(cover), VERTEX_COVER), traj
 
 

@@ -150,6 +150,8 @@ def eval_dataset(
             raise GraphError(f"unknown method {method!r}")
     if graph_ids is None:
         graph_ids = [f"g{i:04d}" for i in range(len(graphs))]
+    if len(graph_ids) != len(graphs):
+        raise ValueError(f"{len(graph_ids)} graph ids for {len(graphs)} graphs")
     report = EvalReport(problem=problem)
     for gid, g in zip(graph_ids, graphs):
         t0 = time.perf_counter()

@@ -10,9 +10,6 @@ from typing import Iterable, Sequence
 
 INDEPENDENT_SET = "independent-set"
 VERTEX_COVER = "vertex-cover"
-GENERIC = "generic"
-
-_KINDS = (INDEPENDENT_SET, VERTEX_COVER, GENERIC)
 
 
 class GraphError(ValueError):
@@ -90,9 +87,10 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adjacency, m)
 
 
-def remove_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Delete ``drop`` and their incident edges; surviving ids are compacted
-    in ascending order. Returns the new graph and the old->new id mapping."""
+def remove_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, list[int]]:
+    """Delete ``drop`` and their incident edges. Returns the new graph and
+    ``kept``, the surviving old ids in ascending order: new vertex i is old
+    vertex ``kept[i]``."""
     alive = [True] * g.n
     for v in drop:
         if not 0 <= v < g.n:
@@ -106,17 +104,15 @@ def remove_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int
     # grows and shrinks, which is slower and fragments the heap that cached graphs live on
     adjacency = tuple([tuple([new_id[u] for u in g.adjacency[old] if alive[u]]) for old in keep])
     m = sum(map(len, adjacency)) // 2
-    return Graph(len(keep), adjacency, m), dict(zip(keep, range(len(keep))))
+    return Graph(len(keep), adjacency, m), keep
 
 
-def remove_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
+def remove_vertex(g: Graph, v: int) -> tuple[Graph, list[int]]:
     """Delete one vertex; see remove_vertices."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range for {g.n} vertices")
     return remove_vertices(g, (v,))
 
 
-def remove_neighbors(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
+def remove_neighbors(g: Graph, v: int) -> tuple[Graph, list[int]]:
     """Delete all neighbors of ``v``; ``v`` itself survives and ends isolated."""
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} out of range for {g.n} vertices")
@@ -141,13 +137,13 @@ def graph_fingerprint(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """A set of vertex ids tagged with the role it claims to play."""
+    """A set of vertex ids tagged with its role: independent set or vertex cover."""
 
     members: frozenset[int]
-    kind: str = GENERIC
+    kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in (INDEPENDENT_SET, VERTEX_COVER):
             raise GraphError(f"unknown vertex-set kind {self.kind!r}")
 
     def __len__(self) -> int:
@@ -163,9 +159,7 @@ class VertexSet:
             return False
         if self.kind == INDEPENDENT_SET:
             return is_independent_set(g, self.members)
-        if self.kind == VERTEX_COVER:
-            return is_vertex_cover(g, self.members)
-        return True
+        return is_vertex_cover(g, self.members)
 
 
 def is_independent_set(g: Graph, members: Iterable[int]) -> bool:

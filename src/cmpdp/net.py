@@ -49,7 +49,7 @@ import zlib
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.special import erf, expit
@@ -338,7 +338,7 @@ class ForwardTrace:
     row_count: list[np.ndarray] = field(default_factory=list)  # per round, vertices per row
     own_map: list = field(default_factory=list)      # per round; None at round 0
     neigh_map: list = field(default_factory=list)    # per round; None at round 0
-    # [0] the (n, 3w) zero initial embeddings; [k + 1] the output rows of round k
+    # per round, its output rows; round 0's input, the zero embeddings, is not kept
     node_emb: list[np.ndarray] = field(default_factory=list)
     # per round, one entry per row of that round
     pre_act: list[np.ndarray] = field(default_factory=list)    # concat before GELU
@@ -350,7 +350,6 @@ class ForwardTrace:
     head_inv_std: list[float] = field(default_factory=list)
     head_out: list[np.ndarray] = field(default_factory=list)   # hidden outputs
     final_input: np.ndarray | None = None  # (2w,)
-    logit: float = 0.0
 
 
 def score_graph(params: CmpParams, g: Graph) -> tuple[float, ForwardTrace]:
@@ -359,10 +358,8 @@ def score_graph(params: CmpParams, g: Graph) -> tuple[float, ForwardTrace]:
     n = g.n
     if n == 0:
         return 0.0, ForwardTrace(n=0)
-    w3 = 3 * params.width
     trace = ForwardTrace(n, *_round_maps(g, params.rounds))
-    trace.node_emb.append(np.zeros((n, w3)))
-    emb = np.zeros((1, w3))  # round 0's input: the shared zero row of every vertex
+    emb = np.zeros((1, 3 * params.width))  # round 0's input: the shared zero row of every vertex
     for k in range(params.rounds):
         # the weights act on the previous round's rows; the maps then sum the
         # products, which is the product of the sums
@@ -404,7 +401,6 @@ def score_graph(params: CmpParams, g: Graph) -> tuple[float, ForwardTrace]:
     if not np.isfinite(logit):
         raise NonFiniteError("non-finite logit in final head layer")
     trace.final_input = final_input
-    trace.logit = logit
     return logit, trace
 
 
@@ -532,7 +528,7 @@ def _backprop(params: CmpParams, trace: ForwardTrace, dlogit: float, grads: CmpP
             da, dc_own = own_map.T @ da, own_map.T @ dc
         db = neigh_map.T @ db
         dc = np.outer(trace.row_count[k - 1], dc.sum(axis=0)) - neigh_map.T @ dc - dc_own
-        prev = trace.node_emb[k]
+        prev = trace.node_emb[k - 1]
         grads.self_w[k] += da.T @ prev
         grads.neigh_w[k] += db.T @ prev
         grads.anti_w[k] += dc.T @ prev
@@ -586,7 +582,7 @@ def params_to_bytes(params: CmpParams) -> bytes:
     return body + np.array([zlib.crc32(body)], dtype="<u4").tobytes()
 
 
-def params_from_bytes(data: bytes, expect: tuple[int, int, int] | None = None) -> CmpParams:
+def params_from_bytes(data: bytes) -> CmpParams:
     if data[: len(MAGIC)] != MAGIC:
         raise WeightFormatError("bad magic: not a comparator weight file")
     off = len(MAGIC)
@@ -596,10 +592,6 @@ def params_from_bytes(data: bytes, expect: tuple[int, int, int] | None = None) -
     off += 24
     if rounds < 1 or width < 1 or head_layers < 2:
         raise WeightFormatError(f"implausible geometry ({rounds}, {width}, {head_layers})")
-    if expect is not None:
-        for name, got, want in zip(("rounds", "width", "head_layers"), (rounds, width, head_layers), expect):
-            if got != want:
-                raise WeightDimensionError(f"{name}: file has {got}, expected {want}")
     count = param_count(rounds, width, head_layers)
     total = off + 8 * count + 4
     if len(data) < total:
@@ -615,17 +607,9 @@ def params_from_bytes(data: bytes, expect: tuple[int, int, int] | None = None) -
     return CmpParams(rounds, width, head_layers, flat)
 
 
-def save_params(params: CmpParams, dest: str | Path | BinaryIO) -> None:
-    data = params_to_bytes(params)
-    if hasattr(dest, "write"):
-        dest.write(data)
-    else:
-        Path(dest).write_bytes(data)
+def save_params(params: CmpParams, path: str | Path) -> None:
+    Path(path).write_bytes(params_to_bytes(params))
 
 
-def load_params(src: str | Path | BinaryIO, expect: tuple[int, int, int] | None = None) -> CmpParams:
-    if hasattr(src, "read"):
-        data = src.read()
-    else:
-        data = Path(src).read_bytes()
-    return params_from_bytes(data, expect)
+def load_params(path: str | Path) -> CmpParams:
+    return params_from_bytes(Path(path).read_bytes())

@@ -18,6 +18,7 @@ quality on average and spent time on pairs that carry no ordering.
 
 from __future__ import annotations
 
+import functools
 import logging
 import random
 import time
@@ -46,6 +47,9 @@ from .net import (
 )
 
 log = logging.getLogger(__name__)
+
+# share of each refresh's pairs held out as its validation split
+VAL_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,7 @@ def refresh_buffer(
     for j, gi in enumerate(picks):
         samples.extend(harvest_pairs(dataset[gi], params, cfg, derive_seed(seed, "harvest", j)))
     rng.shuffle(samples)
-    n_val = int(len(samples) * cfg.val_fraction)
+    n_val = int(len(samples) * VAL_FRACTION)
     capacity = cfg.graphs_per_refresh * cfg.pairs_per_graph
     return Buffer(train=samples[n_val:], val=samples[:n_val], capacity=capacity)
 
@@ -152,14 +156,10 @@ def measure_consistency(
     PairSample objects or plain (g, g_prime) tuples.
     """
     comparator = learned_mis_comparator(params)
-    cache: dict[Graph, int] = {}
 
+    @functools.lru_cache(maxsize=None)
     def estimate(g: Graph) -> int:
-        if g not in cache:
-            cache[g] = rollout_estimate(
-                g, comparator, num_rollouts, derive_seed(seed, graph_fingerprint(g))
-            )
-        return cache[g]
+        return rollout_estimate(g, comparator, num_rollouts, derive_seed(seed, graph_fingerprint(g)))
 
     return consistency_fraction(pairs, comparator, estimate)
 

@@ -80,6 +80,16 @@ def test_gen_missing_model_param_is_usage_error(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gen_count_below_one_is_usage_error(tmp_path, count, capsys):
+    out = tmp_path / "gen"
+    rc = run_cli(["gen", "--model", "er", "--count", count, "--n", "8", "--p", "0.3",
+                  "--out-dir", str(out)])
+    assert rc == 1
+    assert "--count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_greedy_writes_valid_solution(graph_file, tmp_path, capsys):
     sol = tmp_path / "sol.txt"
     rc = run_cli(
@@ -244,6 +254,18 @@ def test_consistency_command(tiny_dataset, tmp_path):
     rows = read_csv(out)
     assert len(rows) == 1
     assert 0.0 <= float(rows[0]["consistency"]) <= 1.0
+
+
+@pytest.mark.parametrize("pairs", ["0", "-2"])
+def test_consistency_pairs_below_one_is_usage_error(tiny_dataset, tmp_path, pairs, capsys):
+    wpath = tmp_path / "w.cmp"
+    save_params(init_params(1, 3, 2, seed=1), wpath)
+    out = tmp_path / "curve.csv"
+    rc = run_cli(["consistency", "--dataset", str(tiny_dataset), "--weights", str(wpath),
+                  "--out", str(out), "--pairs", pairs])
+    assert rc == 1
+    assert "--pairs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ablate_runs_grid(tiny_dataset, tmp_path):

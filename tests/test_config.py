@@ -50,7 +50,7 @@ def test_bool_parsing(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="momentum"):
         load_config(write_cfg(tmp_path, "momentum=0.9\n"), env={})
-    for key in ("drop_ties", "cross_pairs"):
+    for key in ("drop_ties", "cross_pairs", "val_fraction"):
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             load_config(write_cfg(tmp_path, f"{key}=true\n"), env={})
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):

@@ -22,7 +22,7 @@ from cmpdp.dpsolve import (
     solve_mvc,
 )
 from cmpdp.generators import GenSpec, generate
-from cmpdp.graph import GraphError, build_graph, remove_vertex, remove_vertices
+from cmpdp.graph import GraphError, build_graph, remove_neighbors, remove_vertex, remove_vertices
 from cmpdp.net import init_params, score_graph
 
 from helpers import random_graph
@@ -38,6 +38,18 @@ def path3():
 
 def always(value):
     return lambda g0, g1: value
+
+
+def recording(comparator):
+    """The comparator, and the list of the branch graphs it picks, in order."""
+    picked = []
+
+    def compare(g0, g1):
+        choice = comparator(g0, g1)
+        picked.append(g1 if choice else g0)
+        return choice
+
+    return compare, picked
 
 
 class TestDeriveSeed:
@@ -73,12 +85,21 @@ class TestSolveMis:
         rng = random.Random(100)
         for trial in range(150):
             g = random_graph(rng, rng.randint(0, 16), rng.random())
-            vs, traj = solve_mis(g, random_comparator(trial), seed=trial)
+            compare, picked = recording(random_comparator(trial))
+            vs, traj = solve_mis(g, compare, seed=trial)
             assert vs.valid_for(g)
-            assert len(traj.steps) <= g.n
-            for step in traj.steps:
-                assert step.g0.n == step.graph.n - 1
-                assert step.g1.n == step.graph.n - step.graph.degree(step.vertex)
+            assert len(traj.steps) == len(picked) <= g.n
+            cur = g
+            for step, chosen in zip(traj.steps, picked):
+                # each step's branches are those of one vertex of positive
+                # degree of the graph the recursion stood on
+                branches = {
+                    (remove_vertex(cur, v)[0], remove_neighbors(cur, v)[0])
+                    for v in range(cur.n) if cur.degree(v) > 0
+                }
+                assert (step.g0, step.g1) in branches
+                cur = chosen
+            assert cur.m == 0 and cur.n == len(vs)
 
     def test_oracle_optimality_small(self):
         rng = random.Random(200)
@@ -208,10 +229,15 @@ class TestSolveMvc:
         rng = random.Random(300)
         for trial in range(120):
             g = random_graph(rng, rng.randint(0, 12), rng.random())
-            vs, traj = solve_mvc(g, random_comparator(trial), seed=trial)
+            compare, picked = recording(random_comparator(trial))
+            vs, traj = solve_mvc(g, compare, seed=trial)
             assert vs.valid_for(g)
-            # cover size equals the number of base-case edges
-            assert len(vs) == traj.terminal_graph.m
+            assert len(traj.steps) == len(picked)
+            # cover size equals the number of edges of the base case, the
+            # last branch chosen
+            base = picked[-1] if picked else g
+            assert base.max_degree() <= 1
+            assert len(vs) == base.m
 
     def test_oracle_optimality_small(self):
         rng = random.Random(400)

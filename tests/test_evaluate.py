@@ -138,6 +138,13 @@ def test_unknown_method_rejected():
         eval_dataset([build_graph(1, [])], ["magic"], "mis", cfg(), seed=0)
 
 
+@pytest.mark.parametrize("ids", [["a"], ["a", "b", "c", "d"]])
+def test_graph_id_count_must_match_graph_count(ids):
+    graphs = [build_graph(2, [(0, 1)]), build_graph(3, []), build_graph(1, [])]
+    with pytest.raises(ValueError, match=f"{len(ids)} graph ids for 3 graphs"):
+        eval_dataset(graphs, [METHOD_GREEDY], "mis", cfg(), seed=0, graph_ids=ids)
+
+
 def test_run_method_outputs_valid_sets():
     rng = random.Random(6)
     params = init_params(2, 4, 3, seed=2)

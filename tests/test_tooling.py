@@ -5,11 +5,15 @@ the work they time.
 library calls them through, and the benchmark raises LookupError on a name
 that no longer resolves. These tests import the bench files as they stand:
 one resolves every name ``layers`` lists, so a rename in ``src/`` fails here
-first; the other checks that its solve timer still gets samples from
-training and from a learned solve, which a refactor could route around the
-wrapped names without any error.
+first; one checks that its solve timer still gets samples from training and
+from a learned solve, which a refactor could route around the wrapped names
+without any error; one checks that its data hooks still find the records
+they count (solver steps, buffer pairs, exact-search nodes, cache misses);
+and one builds every ``RunConfig`` the bench files construct.
 """
 
+import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -18,6 +22,12 @@ from cmpdp.config import RunConfig
 from cmpdp.generators import GenSpec, generate
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def tiny_cfg() -> RunConfig:
+    return RunConfig(total_epochs=2, batch_size=8, num_rollouts=1, graphs_per_refresh=3,
+                     pairs_per_graph=2, epochs_per_refresh=1, rounds=1, width=4,
+                     head_layers=2, consistency_pairs=4, local_search_moves=50)
 
 
 def test_every_bench_wrapped_name_resolves_to_a_callable(monkeypatch):
@@ -38,12 +48,55 @@ def test_bench_solve_timer_sees_training_and_learned_solves(monkeypatch):
     layers = importlib.import_module("layers")
     spans = importlib.import_module("spans")
     graphs = [generate(GenSpec("er", n=10, p=0.3, seed=s)) for s in range(3)]
-    cfg = RunConfig(total_epochs=2, batch_size=8, num_rollouts=1, graphs_per_refresh=3,
-                    pairs_per_graph=2, epochs_per_refresh=1, rounds=1, width=4,
-                    head_layers=2, consistency_pairs=4)
+    cfg = tiny_cfg()
     with spans.Patches() as patches:
         timer = layers.SolveTimer(patches)
         params, _ = selftrain.train(graphs, cfg)
         assert timer.take()
         evaluate.run_method(graphs[0], "cmp", "mis", cfg, seed=0, params=params)
         assert timer.take()
+
+
+def test_bench_data_hooks_see_positive_counts(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    spans = importlib.import_module("spans")
+    graphs = [generate(GenSpec("er", n=10, p=0.3, seed=s)) for s in range(3)]
+    cfg = tiny_cfg()
+    rec = spans.Recorder()
+    with spans.Patches() as patches:
+        layers.install(rec, patches)
+        params, _ = selftrain.train(graphs, cfg)
+        for problem in ("mis", "mvc"):
+            evaluate.eval_dataset(graphs, evaluate.METHODS, problem, cfg, seed=0, params=params)
+    for key in ("dpsolve.steps", "selftrain.pairs", "selftrain.capacity",
+                "classic.exact.expanded", "dpsolve.score_cache.misses"):
+        assert rec.counts[key] > 0, key
+
+
+def bench_run_configs() -> list[tuple[str, dict]]:
+    """(file:line, keyword values) of every ``RunConfig(...)`` call in the
+    bench files. A value that is not a literal stands as the field's default."""
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    calls = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "RunConfig":
+                kwargs = {}
+                for kw in node.keywords:
+                    try:
+                        kwargs[kw.arg] = ast.literal_eval(kw.value)
+                    except ValueError:
+                        kwargs[kw.arg] = defaults.get(kw.arg)
+                calls.append((f"{path.name}:{node.lineno}", kwargs))
+    return calls
+
+
+def test_every_bench_run_config_builds():
+    calls = bench_run_configs()
+    assert any(kwargs for _, kwargs in calls)
+    for where, kwargs in calls:
+        try:
+            RunConfig(**kwargs).validate()
+        except (TypeError, ValueError) as exc:
+            raise AssertionError(f"{where}: {exc}") from None
