@@ -113,8 +113,12 @@ def exact_mvc(g: Graph, budget: int | None = None) -> ExactResult:
     budget-exhausted result is a valid (if possibly oversized) cover.
     """
     r = exact_mis(g, budget)
-    members = frozenset(v for v in range(g.n) if v not in r.vertex_set.members)
-    return ExactResult(VertexSet(members, VERTEX_COVER), r.optimal, r.expanded)
+    return ExactResult(complement_cover(g, r.vertex_set), r.optimal, r.expanded)
+
+
+def complement_cover(g: Graph, vs: VertexSet) -> VertexSet:
+    """The vertices outside an independent set, which cover every edge."""
+    return VertexSet(frozenset(range(g.n)) - vs.members, VERTEX_COVER)
 
 
 @lru_cache(maxsize=65536)

@@ -285,7 +285,7 @@ def _cmd_consistency(args) -> int:
             if len(pairs) >= args.pairs:
                 break
             pairs.extend(harvest_pairs(g, params, cfg, derive_seed(cfg.seed, "pairs", j)))
-        pairs = pairs[: args.pairs]
+        pairs = [(s.g, s.g_prime) for s in pairs[: args.pairs]]
         value = measure_consistency(params, pairs, cfg.num_rollouts, derive_seed(cfg.seed, "cst", idx))
         lines.append(f"{idx},{wpath},{len(pairs)},{value:.6f}")
         print(f"{wpath}: consistency {value:.3f} over {len(pairs)} pairs")
@@ -309,11 +309,12 @@ def _cmd_ablate(args) -> int:
         raise CliUsageError("--values must be comma-separated integers") from None
     if not values:
         raise CliUsageError("--values is empty")
+    # every value's config is checked before the first run starts
+    cfgs = [_load_cfg(args, **{args.param: value}) for value in values]
     graphs, _ = _load_dataset(args.dataset)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for value in values:
-        cfg = _load_cfg(args, **{args.param: value})
+    for value, cfg in zip(values, cfgs):
         params, rows = train(graphs, cfg)
         tag = f"{args.param}_{value}"
         save_params(params, out_dir / f"weights_{tag}.cmp")

@@ -12,6 +12,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
+from .net import MAX_PARAMS, param_count
+
 ENV_PREFIX = "CMPDP_"
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -65,6 +67,10 @@ class RunConfig:
                 raise ValueError(f"{key} must be non-negative")
         if self.head_layers < 2:
             raise ValueError("head_layers must be at least 2")
+        count = param_count(self.rounds, self.width, self.head_layers)
+        if count > MAX_PARAMS:
+            raise ConfigError(f"rounds={self.rounds}, width={self.width}, head_layers={self.head_layers}"
+                              f" give a model of {count:,} parameters, above the limit of {MAX_PARAMS:,}")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
 

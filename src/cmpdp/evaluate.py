@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .classic import (
+    complement_cover,
     exact_mis,
     exact_mvc,
     greedy_mis,
@@ -23,7 +24,7 @@ from .dpsolve import (
     solve_mis,
     solve_mvc,
 )
-from .graph import VERTEX_COVER, Graph, GraphError, VertexSet
+from .graph import Graph, GraphError, VertexSet
 from .net import CmpParams
 
 MIS = "mis"
@@ -94,7 +95,7 @@ def run_method(
         return (greedy_mis(g) if problem == MIS else greedy_mvc(g)), STATUS_OK
     if method == METHOD_LOCAL:
         vs = local_search_mis(g, cfg.local_search_seconds, seed, cfg.local_search_moves or None)
-        return (vs if problem == MIS else _complement_cover(g, vs)), STATUS_OK
+        return (vs if problem == MIS else complement_cover(g, vs)), STATUS_OK
     if method in (METHOD_CMP, METHOD_CMP_MIXED, METHOD_RANDOM):
         best = _best_of_rollouts(g, method, problem, cfg, seed, params)
         return best, STATUS_OK
@@ -125,7 +126,7 @@ def _best_of_rollouts(
         elif method == METHOD_RANDOM:
             vs, _ = solve_mvc(g, comparator, run_seed)
         else:
-            vs = _complement_cover(g, solve_mis(g, comparator, run_seed)[0])
+            vs = complement_cover(g, solve_mis(g, comparator, run_seed)[0])
         candidates.append(vs)
     if problem == MIS:
         return max(candidates, key=len)
@@ -179,11 +180,6 @@ def eval_dataset(
             std = (sum((x - mean) ** 2 for x in ratios) / len(ratios)) ** 0.5
             report.aggregates[method] = (mean, std, len(ratios))
     return report
-
-
-def _complement_cover(g: Graph, vs: VertexSet) -> VertexSet:
-    """The complement of an independent set covers every edge."""
-    return VertexSet(frozenset(range(g.n)) - vs.members, VERTEX_COVER)
 
 
 def _ratio(size: int, optimum: int) -> float:

@@ -1,12 +1,15 @@
 """The learnable graph scorer behind the comparator.
 
-Architecture: ``rounds`` iterations of three-branch message passing over
-zero-initialized node embeddings, where each vertex combines a linear map of
-its own embedding, of the sum over neighbors, and of the sum over strict
-non-neighbors (self excluded), concatenated and passed through exact GELU and
-a learnable layer norm. The final embeddings are mean-pooled and fed to a
-dense head whose last layer sees the last hidden output concatenated with the
-first hidden output (a skip connection), producing one logit.
+Architecture: a stack of blocks, each of which takes a matrix of
+pre-activations and applies exact GELU, a layer norm per row and a learned
+scale and shift. The first ``rounds`` blocks are message rounds over
+zero-initialized node embeddings: a vertex's pre-activation concatenates
+linear maps of its own embedding, of the sum over its neighbours and of the
+sum over its strict non-neighbours. The last round is mean-pooled into one
+row of 3w, and the ``head_layers - 1`` hidden head layers are blocks on that
+one-row matrix. A final linear layer reads the last hidden output
+concatenated with the first (a skip connection) and gives one logit. Every
+block runs through :func:`_block` forward and :func:`_block_grad` backward.
 
 Everything is float64 numpy with hand-derived gradients; there is no autodiff
 and no batching across graphs, and nothing of size n x n is built.
@@ -21,14 +24,14 @@ weight products, so a non-finite round-0 weight is still reported). Round
 degree alone: it runs on one row per distinct degree. Round 2 runs per
 vertex; its neighbour sums are ``H @ T1``, where ``T1`` holds round 1's
 class rows and ``H[u, c]`` counts u's neighbours in degree class c. Later
-rounds sum neighbours straight from the edge list. The non-neighbour sum is
+rounds sum neighbours through the sparse adjacency. The non-neighbour sum is
 (sum over all vertices - neighbour sum - self), and pooling is the
 count-weighted mean of the last round's rows. A round multiplies its weights
 into the previous round's rows before it sums them, so one from r' rows to
 r rows costs O(r' w^2) for the products, O(n c w) for round 2's c classes or
-O(m w) for a later round's edge sums, and O(r w) for GELU and the layer
-norm. The backward pass carries the same rows, each holding the total
-gradient of the vertices it stands for.
+O(m w) for a later round's edge sums, and O(r w) for its block. The backward
+pass carries the same rows, each holding the total gradient of the vertices
+it stands for.
 
 Parameters, gradients and Adam moments are each one float64 vector in
 :func:`param_layout` order (``CmpParams.flat``), which is also the order of
@@ -62,6 +65,11 @@ _SQRT1_2 = float(np.sqrt(0.5))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 MAGIC = b"CMPNET1"
+
+# Largest model a geometry may describe, in float64 values. The default
+# geometry (3, 32, 4) has 33,985; training holds four vectors of the count
+# (parameters, gradient, two Adam moments), 320 MB at this cap.
+MAX_PARAMS = 10_000_000
 
 # glibc mallopt parameters, and the values its own dynamic rule reaches for
 # large blocks (32 MiB mmap threshold, twice that for trimming)
@@ -163,6 +171,10 @@ def param_layout(rounds: int, width: int, head_layers: int) -> tuple[TensorSpec,
         raise WeightDimensionError("rounds and width must be at least 1")
     if head_layers < 2:
         raise WeightDimensionError("head_layers must be at least 2")
+    count = param_count(rounds, width, head_layers)
+    if count > MAX_PARAMS:
+        raise WeightDimensionError(
+            f"geometry ({rounds}, {width}, {head_layers}) has {count:,} parameters, above {MAX_PARAMS:,}")
     w3 = 3 * width
     out = []
     for k in range(rounds):
@@ -270,30 +282,6 @@ def init_params(rounds: int, width: int, head_layers: int, seed: int) -> CmpPara
     return p
 
 
-class _EdgeList:
-    """A graph's adjacency held as its edge list and applied like the matrix:
-    ``a @ x`` sums the rows of ``x`` over each vertex's neighbours. The
-    adjacency is symmetric, so ``a.T`` is ``a``."""
-
-    def __init__(self, degrees: np.ndarray, cols: np.ndarray):
-        self.cols = cols  # neighbours, vertex by vertex
-        self.starts = np.cumsum(degrees) - degrees
-        self.isolated = degrees == 0
-
-    @property
-    def T(self) -> "_EdgeList":
-        return self
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        # a trailing zero row gives every vertex's run, empty or last, a
-        # valid start; reduceat returns a lone row for an empty run
-        gathered = np.zeros((self.cols.size + 1, x.shape[1]))
-        np.take(x, self.cols, axis=0, out=gathered[:-1])
-        out = np.add.reduceat(gathered, self.starts, axis=0)
-        out[self.isolated] = 0.0
-        return out
-
-
 def _round_maps(g: Graph, rounds: int) -> tuple[list, list, list]:
     """For each message round: how many vertices each of its rows stands for,
     and the maps from the previous round's rows to its own input and its
@@ -316,9 +304,16 @@ def _round_maps(g: Graph, rounds: int) -> tuple[list, list, list]:
         own_map.append(np.eye(classes)[vertex_class])
         neigh_map.append(np.bincount(cell, minlength=n * classes).reshape(n, classes).astype(np.float64))
     if rounds > 3:
+        # imported here, not with the module: loading scipy.sparse adds about
+        # 2 MB (3%) to the peak memory of a solve or training run, and only
+        # geometries with 4 or more rounds get this far
+        from scipy.sparse import csr_array
+
+        indptr = np.concatenate(([0], np.cumsum(degrees)))
+        adjacency = csr_array((np.ones(cols.size), cols, indptr), shape=(n, n))
         row_count += [row_count[2]] * (rounds - 3)
         own_map += [None] * (rounds - 3)
-        neigh_map += [_EdgeList(degrees, cols)] * (rounds - 3)
+        neigh_map += [adjacency] * (rounds - 3)
     return row_count[:rounds], own_map[:rounds], neigh_map[:rounds]
 
 
@@ -326,10 +321,13 @@ def _round_maps(g: Graph, rounds: int) -> tuple[list, list, list]:
 class ForwardTrace:
     """Intermediates of one forward pass, enough to run the backward pass.
 
-    Each round computes one row per set of vertices that must share its
-    output: round 0 one row for all n vertices, round 1 one row per distinct
-    degree, later rounds one row per vertex. Round k >= 1 reads round k-1's
-    rows, after its weights, through two maps applied as ``map @ rows``:
+    The block lists (``pre_act``, ``normed``, ``inv_std``, ``out``) hold one
+    entry per block: the message rounds first, then the hidden head layers.
+    Each entry has one row per row of its block. A round computes one row per
+    set of vertices that must share its output: round 0 one row for all n
+    vertices, round 1 one row per distinct degree, later rounds one row per
+    vertex. A head layer has one row. Round k >= 1 reads round k-1's rows,
+    after its weights, through two maps applied as ``map @ rows``:
     ``own_map[k]`` gives each row its own input (None for the identity) and
     ``neigh_map[k]`` its neighbour sum. Its non-neighbour sum is the sum over
     all vertices, ``row_count[k - 1] @ rows``, less those two."""
@@ -338,18 +336,12 @@ class ForwardTrace:
     row_count: list[np.ndarray] = field(default_factory=list)  # per round, vertices per row
     own_map: list = field(default_factory=list)      # per round; None at round 0
     neigh_map: list = field(default_factory=list)    # per round; None at round 0
-    # per round, its output rows; round 0's input, the zero embeddings, is not kept
-    node_emb: list[np.ndarray] = field(default_factory=list)
-    # per round, one entry per row of that round
-    pre_act: list[np.ndarray] = field(default_factory=list)    # concat before GELU
-    normed: list[np.ndarray] = field(default_factory=list)     # layer-norm x-hat
-    inv_std: list[np.ndarray] = field(default_factory=list)    # (rows, 1)
-    graph_emb: np.ndarray | None = None    # (3w,) mean-pooled
-    head_pre: list[np.ndarray] = field(default_factory=list)
-    head_normed: list[np.ndarray] = field(default_factory=list)
-    head_inv_std: list[float] = field(default_factory=list)
-    head_out: list[np.ndarray] = field(default_factory=list)   # hidden outputs
-    final_input: np.ndarray | None = None  # (2w,)
+    pre_act: list[np.ndarray] = field(default_factory=list)    # per block, before GELU
+    normed: list[np.ndarray] = field(default_factory=list)     # per block, layer-norm x-hat
+    inv_std: list[np.ndarray] = field(default_factory=list)    # per block, (rows, 1)
+    out: list[np.ndarray] = field(default_factory=list)        # per block, after scale and shift
+    pooled: np.ndarray | None = None       # (1, 3w), the head's input
+    final_input: np.ndarray | None = None  # (1, 2w)
 
 
 def score_graph(params: CmpParams, g: Graph) -> tuple[float, ForwardTrace]:
@@ -359,13 +351,13 @@ def score_graph(params: CmpParams, g: Graph) -> tuple[float, ForwardTrace]:
     if n == 0:
         return 0.0, ForwardTrace(n=0)
     trace = ForwardTrace(n, *_round_maps(g, params.rounds))
-    emb = np.zeros((1, 3 * params.width))  # round 0's input: the shared zero row of every vertex
+    rows = np.zeros((1, 3 * params.width))  # round 0's input: the shared zero row of every vertex
     for k in range(params.rounds):
         # the weights act on the previous round's rows; the maps then sum the
         # products, which is the product of the sums
-        a = emb @ params.self_w[k].T
-        b = emb @ params.neigh_w[k].T
-        c = emb @ params.anti_w[k].T
+        a = rows @ params.self_w[k].T
+        b = rows @ params.neigh_w[k].T
+        c = rows @ params.anti_w[k].T
         if k > 0:  # round 0's zero row is its own neighbour and non-neighbour sum
             own_map, neigh_map = trace.own_map[k], trace.neigh_map[k]
             own_c = c
@@ -374,59 +366,57 @@ def score_graph(params: CmpParams, g: Graph) -> tuple[float, ForwardTrace]:
             b = neigh_map @ b
             c = trace.row_count[k - 1] @ c - neigh_map @ c - own_c
         pre = np.concatenate((a + params.self_b[k], b + params.neigh_b[k], c + params.anti_b[k]), axis=1)
-        xhat, inv = _layer_norm(gelu(pre), axis=1)
-        emb = xhat * params.norm_scale[k] + params.norm_shift[k]
-        if not np.isfinite(emb).all():
-            raise NonFiniteError(f"non-finite embedding after message round {k}")
-        trace.pre_act.append(pre)
-        trace.normed.append(xhat)
-        trace.inv_std.append(inv)
-        trace.node_emb.append(emb)
-    pooled = trace.row_count[-1] @ emb / n
-    trace.graph_emb = pooled
-    x = pooled
+        rows = _block(trace, pre, params.norm_scale[k], params.norm_shift[k])
+    rows = trace.pooled = (trace.row_count[-1] @ rows / n)[None]
     for i in range(params.head_layers - 1):
-        z = params.head_w[i] @ x + params.head_b[i]
-        xhat, inv = _layer_norm(gelu(z), axis=None)
-        h = xhat * params.head_norm_scale[i] + params.head_norm_shift[i]
-        if not np.isfinite(h).all():
-            raise NonFiniteError(f"non-finite activation in head layer {i}")
-        trace.head_pre.append(z)
-        trace.head_normed.append(xhat)
-        trace.head_inv_std.append(float(inv))
-        trace.head_out.append(h)
-        x = h
-    final_input = np.concatenate((x, trace.head_out[0]))
-    logit = float((params.head_w[-1] @ final_input + params.head_b[-1])[0])
+        pre = rows @ params.head_w[i].T + params.head_b[i]
+        rows = _block(trace, pre, params.head_norm_scale[i], params.head_norm_shift[i])
+    trace.final_input = np.concatenate((rows, trace.out[params.rounds]), axis=1)
+    logit = float((trace.final_input @ params.head_w[-1].T + params.head_b[-1])[0, 0])
     if not np.isfinite(logit):
         raise NonFiniteError("non-finite logit in final head layer")
-    trace.final_input = final_input
     return logit, trace
 
 
-def _layer_norm(act: np.ndarray, axis: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize ``act`` in place per row (axis 1) or as a whole (None);
-    returns it with the inverse standard deviation. The sums and divisions are those
-    of ``act.mean`` and ``act.var``, in the same order, without the second
-    mean pass."""
-    size = act.shape[-1] if axis is not None else act.size
-    keep = axis is not None
-    act -= np.add.reduce(act, axis=axis, keepdims=keep) / size
-    var = np.add.reduce(act * act, axis=axis, keepdims=keep) / size
-    inv = 1.0 / np.sqrt(var + NORM_EPS)
+def _block(trace: ForwardTrace, pre: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """GELU, a layer norm of each row, then ``scale`` and ``shift``; records
+    the block's intermediates in ``trace`` and returns its output rows. The
+    norm's sums and divisions are those of ``act.mean`` and ``act.var``, in
+    the same order, without the second mean pass."""
+    act = gelu(pre)
+    size = act.shape[1]
+    act -= np.add.reduce(act, axis=1, keepdims=True) / size
+    inv = 1.0 / np.sqrt(np.add.reduce(act * act, axis=1, keepdims=True) / size + NORM_EPS)
     act *= inv
-    return act, inv
+    out = act * scale + shift
+    if not np.isfinite(out).all():
+        j, rounds = len(trace.out), len(trace.row_count)
+        layer = f"message round {j}" if j < rounds else f"head layer {j - rounds}"
+        raise NonFiniteError(f"non-finite activation after {layer}")
+    trace.pre_act.append(pre)
+    trace.normed.append(act)
+    trace.inv_std.append(inv)
+    trace.out.append(out)
+    return out
 
 
-def _layer_norm_grad(dxhat: np.ndarray, xhat: np.ndarray, inv, axis: int | None) -> np.ndarray:
-    """Gradient through :func:`_layer_norm`, from d(xhat) to d(act):
+def _block_grad(
+    dout: np.ndarray, trace: ForwardTrace, j: int, scale: np.ndarray, dscale: np.ndarray, dshift: np.ndarray
+) -> np.ndarray:
+    """Back through block ``j`` from d(out): adds the scale and shift
+    gradients into ``dscale`` and ``dshift`` and returns d(pre-activation).
+    The layer norm's part is, per row,
     ``inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))``."""
-    size = dxhat.shape[-1] if axis is not None else dxhat.size
-    keep = axis is not None
-    dact = dxhat - np.add.reduce(dxhat, axis=axis, keepdims=keep) / size
-    dact -= xhat * (np.add.reduce(dxhat * xhat, axis=axis, keepdims=keep) / size)
-    dact *= inv
-    return dact
+    xhat = trace.normed[j]
+    dscale += (dout * xhat).sum(axis=0)
+    dshift += dout.sum(axis=0)
+    dxhat = dout * scale
+    size = dxhat.shape[1]
+    dpre = dxhat - np.add.reduce(dxhat, axis=1, keepdims=True) / size
+    dpre -= xhat * (np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / size)
+    dpre *= trace.inv_std[j]
+    dpre *= gelu_grad(trace.pre_act[j])
+    return dpre
 
 
 def logit_pair_loss(z0: float, z1: float, label: int) -> float:
@@ -468,47 +458,28 @@ def _backprop(params: CmpParams, trace: ForwardTrace, dlogit: float, grads: CmpP
     gradient, with coefficients that are the same for every vertex of a row."""
     if trace.n == 0:
         return  # constant logit, nothing to propagate
-    n = trace.n
     w = params.width
+    rounds = params.rounds
     last = params.head_layers - 1
 
-    u = trace.final_input
-    grads.head_w[last] += dlogit * u[None, :]
+    grads.head_w[last] += dlogit * trace.final_input
     grads.head_b[last] += dlogit
-    du = dlogit * params.head_w[last][0]
-    dh = [np.zeros(w) for _ in range(last)]
-    dh[last - 1] += du[:w]
-    dh[0] += du[w:]
-
-    dpooled = None
+    dfinal = dlogit * params.head_w[last]
+    dout = dfinal[:, :w]
     for i in range(last - 1, -1, -1):
-        dy = dh[i]
-        xhat = trace.head_normed[i]
-        grads.head_norm_scale[i] += dy * xhat
-        grads.head_norm_shift[i] += dy
-        dxhat = dy * params.head_norm_scale[i]
-        dz = _layer_norm_grad(dxhat, xhat, trace.head_inv_std[i], axis=None)
-        dz *= gelu_grad(trace.head_pre[i])
-        xin = trace.graph_emb if i == 0 else trace.head_out[i - 1]
-        grads.head_w[i] += np.outer(dz, xin)
-        grads.head_b[i] += dz
-        dx = params.head_w[i].T @ dz
-        if i == 0:
-            dpooled = dx
-        else:
-            dh[i - 1] += dx
-    if not np.isfinite(dpooled).all():
+        if i == 0:  # the skip connection's half joins at the first hidden layer
+            dout = dout + dfinal[:, w:]
+        dpre = _block_grad(dout, trace, rounds + i, params.head_norm_scale[i],
+                           grads.head_norm_scale[i], grads.head_norm_shift[i])
+        grads.head_w[i] += dpre.T @ (trace.out[rounds + i - 1] if i else trace.pooled)
+        grads.head_b[i] += dpre[0]
+        dout = dpre @ params.head_w[i]
+    if not np.isfinite(dout).all():
         raise NonFiniteError("non-finite gradient entering the pooling layer")
 
-    demb = np.outer(trace.row_count[-1], dpooled / n)
-    for k in range(params.rounds - 1, -1, -1):
-        xhat = trace.normed[k]
-        inv = trace.inv_std[k]
-        grads.norm_scale[k] += (demb * xhat).sum(axis=0)
-        grads.norm_shift[k] += demb.sum(axis=0)
-        dxhat = demb * params.norm_scale[k]
-        dpre = _layer_norm_grad(dxhat, xhat, inv, axis=1)
-        dpre *= gelu_grad(trace.pre_act[k])
+    dout = trace.row_count[-1][:, None] * (dout / trace.n)
+    for k in range(rounds - 1, -1, -1):
+        dpre = _block_grad(dout, trace, k, params.norm_scale[k], grads.norm_scale[k], grads.norm_shift[k])
         da = dpre[:, :w]
         db = dpre[:, w : 2 * w]
         dc = dpre[:, 2 * w :]
@@ -528,14 +499,13 @@ def _backprop(params: CmpParams, trace: ForwardTrace, dlogit: float, grads: CmpP
             da, dc_own = own_map.T @ da, own_map.T @ dc
         db = neigh_map.T @ db
         dc = np.outer(trace.row_count[k - 1], dc.sum(axis=0)) - neigh_map.T @ dc - dc_own
-        prev = trace.node_emb[k - 1]
+        prev = trace.out[k - 1]
         grads.self_w[k] += da.T @ prev
         grads.neigh_w[k] += db.T @ prev
         grads.anti_w[k] += dc.T @ prev
-        demb_k = da @ params.self_w[k] + db @ params.neigh_w[k] + dc @ params.anti_w[k]
-        if not np.isfinite(demb_k).all():
+        dout = da @ params.self_w[k] + db @ params.neigh_w[k] + dc @ params.anti_w[k]
+        if not np.isfinite(dout).all():
             raise NonFiniteError(f"non-finite gradient in message round {k}")
-        demb = demb_k
 
 
 @dataclass

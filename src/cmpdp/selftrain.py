@@ -144,7 +144,7 @@ def refresh_buffer(
 
 def measure_consistency(
     params: CmpParams,
-    pairs: Iterable,
+    pairs: Iterable[tuple[Graph, Graph]],
     num_rollouts: int,
     seed: int,
 ) -> float:
@@ -152,8 +152,8 @@ def measure_consistency(
     ordering of fresh roll-out estimates under the same parameters.
 
     Roll-out seeds derive from each graph's fingerprint, so the two sides of
-    an identical pair always get identical estimates. ``pairs`` may hold
-    PairSample objects or plain (g, g_prime) tuples.
+    an identical pair always get identical estimates. ``pairs`` holds
+    (g, g_prime) tuples.
     """
     comparator = learned_mis_comparator(params)
 
@@ -165,17 +165,13 @@ def measure_consistency(
 
 
 def consistency_fraction(
-    pairs: Iterable, comparator: Comparator, estimate: Callable[[Graph], int]
+    pairs: Iterable[tuple[Graph, Graph]], comparator: Comparator, estimate: Callable[[Graph], int]
 ) -> float:
-    """Agreement between comparator verdicts and estimate ordering; 1.0 for an
-    empty pair collection."""
+    """Agreement between comparator verdicts and estimate ordering over
+    (g, g_prime) pairs; 1.0 for an empty pair collection."""
     total = 0
     agree = 0
-    for pair in pairs:
-        if hasattr(pair, "g"):
-            g, gp = pair.g, pair.g_prime
-        else:
-            g, gp = pair
+    for g, gp in pairs:
         total += 1
         if (comparator(g, gp) == 0) == (estimate(g) >= estimate(gp)):
             agree += 1
@@ -209,7 +205,7 @@ def train(dataset: Sequence[Graph], cfg: RunConfig) -> tuple[CmpParams, list[Met
                 "refresh %d produced an empty buffer: every harvested pair tied, or no graph had an edge",
                 refresh_index,
             )
-        probe = (buffer.val or buffer.train)[: cfg.consistency_pairs]
+        probe = [(s.g, s.g_prime) for s in (buffer.val or buffer.train)[: cfg.consistency_pairs]]
         consistency = measure_consistency(
             params, probe, cfg.num_rollouts, derive_seed(cfg.seed, "consistency", refresh_index)
         )

@@ -1,7 +1,13 @@
-"""End-to-end CLI runs through run_cli (no subprocesses)."""
+"""End-to-end CLI runs through run_cli, and a few through a separate
+process where a crash or a hang must show as such."""
 
 import csv
+import os
+import resource
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -364,3 +370,45 @@ def test_invalid_value_surviving_every_layer_names_its_key(tiny_dataset, tmp_pat
     assert run_cli(base + ["--width", "0"]) == 2
     assert "width" in capsys.readouterr().err
     assert run_cli(base + ["--width", "4"]) == 0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ADDRESS_SPACE_BYTES = 2 << 30
+
+
+def run_capped(argv: list[str], env: dict[str, str], timeout: float = 60.0) -> subprocess.CompletedProcess:
+    """``cmpdp argv`` in a fresh process with its address space capped as by
+    ``ulimit -v``, so an oversized allocation fails fast instead of taking the
+    machine's memory; raises TimeoutExpired if it runs past ``timeout``."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_BYTES, ADDRESS_SPACE_BYTES))
+
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1", **env}
+    return subprocess.run([sys.executable, "-c", "from cmpdp.cli import main; main()", *argv], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("flags, env, key", [
+    (["--width", "100000"], {}, "width=100000"),
+    (["--rounds", "1000000000"], {}, "rounds=1000000000"),
+    (["--head-layers", "1000000000"], {}, "head_layers=1000000000"),
+    ([], {"CMPDP_WIDTH": "100000"}, "width=100000"),
+], ids=["width-flag", "rounds-flag", "head-layers-flag", "width-env"])
+def test_train_oversized_geometry_exits_2_with_one_error_line(tiny_dataset, tmp_path, flags, env, key):
+    proc = run_capped(["train", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "w.cmp"),
+                       "--metrics", str(tmp_path / "m.csv"), *flags], env)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr[-2000:]
+    assert key in proc.stderr
+    assert not (tmp_path / "w.cmp").exists()
+
+
+def test_ablate_checks_every_geometry_before_the_first_run(tiny_dataset, tmp_path):
+    out = tmp_path / "ablation"
+    proc = run_capped(["ablate", "--param", "width", "--values", "4,100000", "--dataset", str(tiny_dataset),
+                       "--out-dir", str(out)], {})
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr[-2000:]
+    assert "width=100000" in proc.stderr
+    assert not out.exists()

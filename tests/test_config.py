@@ -126,3 +126,11 @@ def test_invalid_flag_value_names_key():
 def test_unknown_flag_key_rejected():
     with pytest.raises(ConfigError, match="momentum"):
         load_config(None, env={}, flags={"momentum": 0.9})
+
+
+@pytest.mark.parametrize("key, value", [("width", 100_000), ("rounds", 10**9), ("head_layers", 10**9)])
+def test_oversized_geometry_is_a_config_error_naming_the_geometry(key, value):
+    with pytest.raises(ConfigError, match="rounds=.*width=.*head_layers=.*parameters"):
+        RunConfig(**{key: value}).validate()
+    with pytest.raises(ConfigError, match=f"{key}={value}"):
+        config_from_values({key: str(value)})

@@ -51,7 +51,7 @@ def test_gradients_match_deeper_head():
 @pytest.mark.parametrize("rounds", [2, 4, 5])
 @pytest.mark.parametrize("shape", ["random"] + sorted(degree_class_graphs()))
 def test_gradients_match_on_degree_class_shapes(shape, rounds):
-    # round 1 runs per degree class, round 2 on class counts, later rounds on the edge list
+    # round 1 runs per degree class, round 2 on class counts, later rounds on the sparse adjacency
     bad, total = check_triple(seed=rounds, rounds=rounds, width=3, head_layers=3,
                               g=degree_class_graphs().get(shape))
     assert bad / total <= 0.01, f"{bad}/{total} components off"

@@ -105,6 +105,13 @@ class TestInit:
         with pytest.raises(WeightDimensionError):
             init_params(1, 4, 1, seed=0)
 
+    @pytest.mark.parametrize("geometry", [(3, 100_000, 4), (10**9, 32, 4), (3, 32, 10**9)])
+    def test_geometry_above_the_cap_rejected_before_building(self, geometry):
+        # a layout of 10**9 rounds would take minutes and gigabytes to list
+        assert param_count(*geometry) > net.MAX_PARAMS
+        with pytest.raises(WeightDimensionError, match="parameters"):
+            net.param_layout(*geometry)
+
 
 class TestFlatStorage:
     def test_wrong_length_or_dtype_rejected(self):
@@ -135,11 +142,13 @@ class TestForward:
         logit, trace = score_graph(p, build_graph(0, []))
         assert logit == 0.0 and trace.n == 0
 
-    def test_straight_line_oracle(self):
+    @pytest.mark.parametrize("head_layers", [2, 4, 5])
+    def test_straight_line_oracle(self, head_layers):
+        # at 2 the final layer's skip half is the single hidden layer itself
         graphs = [triangle(), path3(), build_graph(6, [(0, 3), (1, 4), (2, 5), (0, 5)])]
         graphs += degree_class_graphs().values()
         for rounds in (2, 4, 5):
-            p = init_params(rounds, 3, 4, seed=rounds)
+            p = init_params(rounds, 3, head_layers, seed=rounds)
             for g in graphs:
                 fast, _ = score_graph(p, g)
                 slow = straight_line_logit(p, g)

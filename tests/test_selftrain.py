@@ -14,7 +14,6 @@ from cmpdp.generators import GenSpec, generate
 from cmpdp.graph import build_graph
 from cmpdp.net import adam_step, init_adam, init_params, pair_loss_and_grad
 from cmpdp.selftrain import (
-    PairSample,
     consistency_fraction,
     harvest_pairs,
     measure_consistency,
@@ -150,12 +149,6 @@ class TestConsistency:
     def test_empty_pairs_vacuous(self):
         params = init_params(1, 2, 2, seed=0)
         assert measure_consistency(params, [], 1, seed=0) == 1.0
-
-    def test_accepts_pair_samples(self):
-        params = init_params(1, 2, 2, seed=0)
-        g = random_graph(random.Random(2), 8, 0.3)
-        sample = PairSample(g, g, 0, 1, 1)
-        assert measure_consistency(params, [sample], 1, seed=0) == 1.0
 
 
 class TestTrain:

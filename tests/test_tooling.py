@@ -9,12 +9,18 @@ first; one checks that its solve timer still gets samples from training and
 from a learned solve, which a refactor could route around the wrapped names
 without any error; one checks that its data hooks still find the records
 they count (solver steps, buffer pairs, exact-search nodes, cache misses);
-and one builds every ``RunConfig`` the bench files construct.
+one builds every ``RunConfig`` the bench files construct; and one checks
+that the package and a default-geometry forward do not load
+``scipy.sparse``, whose import alone adds about 2 MB to the benchmark's
+peak memory.
 """
 
 import ast
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from cmpdp import evaluate, selftrain
@@ -100,3 +106,16 @@ def test_every_bench_run_config_builds():
             RunConfig(**kwargs).validate()
         except (TypeError, ValueError) as exc:
             raise AssertionError(f"{where}: {exc}") from None
+
+
+def test_package_and_a_three_round_forward_leave_scipy_sparse_unloaded():
+    # a fresh process: this test session may have loaded it already
+    script = ("import sys, cmpdp\n"
+              "from cmpdp.graph import build_graph\n"
+              "from cmpdp.net import init_params, score_graph\n"
+              "score_graph(init_params(3, 8, 4, seed=0), build_graph(6, [(0, 1), (1, 2), (2, 3), (0, 4)]))\n"
+              "print('scipy.sparse' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
