@@ -10,6 +10,11 @@ an exact comparator both are optimal on every run.
 The learned scorer is trained on MIS sizes only, so learned evaluation solves
 MVC as the complement of ``solve_mis``; ``solve_mvc`` runs under the exact
 oracle and the random coin.
+
+Roll-out estimates (``rollout_estimate``, ``mixed_estimate``) take every
+degree-1 vertex for free, without asking the comparator: the reduction is
+exact (see ``solve_mis``) and spares most of their forward passes. Evaluation
+solves never use it, so their quality stays the comparator's own.
 """
 
 from __future__ import annotations
@@ -109,26 +114,43 @@ class Trajectory:
     steps: list[RecursionStep] = field(default_factory=list)
 
 
-def solve_mis(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, Trajectory]:
+def solve_mis(
+    g: Graph, comparator: Comparator, seed: int, *, take_pendants: bool = False
+) -> tuple[VertexSet, Trajectory]:
     """Recursive MIS: while edges remain, pick a random vertex v of positive
     degree, compare (g minus v) against (g minus neighbors of v), and keep the
     winner. The surviving vertices, mapped back to original ids, are always an
     independent set of ``g``.
+
+    With ``take_pendants``, a step first looks for a degree-1 vertex (the
+    lowest id, no random draw) and, if there is one, deletes its neighbour
+    without asking the comparator or recording a step. This is exact: if a
+    maximum independent set holds the neighbour, swapping it for the pendant
+    gives another, so some maximum independent set excludes the neighbour.
     """
     rng = random.Random(seed)
     cur = g
     to_original = list(range(g.n))
     traj = Trajectory()
     while cur.m > 0:
-        candidates = [v for v, row in enumerate(cur.adjacency) if row]
-        v = candidates[rng.randrange(len(candidates))]
-        g0, kept0 = remove_vertex(cur, v)
-        g1, kept1 = remove_neighbors(cur, v)
-        choice = 1 if comparator(g0, g1) else 0
-        traj.steps.append(RecursionStep(g0, g1))
-        cur, kept = (g0, kept0) if choice == 0 else (g1, kept1)
+        pendant = _first_pendant(cur) if take_pendants else None
+        if pendant is not None:
+            cur, kept = remove_neighbors(cur, pendant)
+        else:
+            candidates = [v for v, row in enumerate(cur.adjacency) if row]
+            v = candidates[rng.randrange(len(candidates))]
+            g0, kept0 = remove_vertex(cur, v)
+            g1, kept1 = remove_neighbors(cur, v)
+            choice = 1 if comparator(g0, g1) else 0
+            traj.steps.append(RecursionStep(g0, g1))
+            cur, kept = (g0, kept0) if choice == 0 else (g1, kept1)
         to_original = [to_original[old] for old in kept]
     return VertexSet(frozenset(to_original), INDEPENDENT_SET), traj
+
+
+def _first_pendant(g: Graph) -> int | None:
+    """The lowest-id vertex of degree 1, or None."""
+    return next((v for v, row in enumerate(g.adjacency) if len(row) == 1), None)
 
 
 @dataclass(frozen=True)
@@ -223,10 +245,10 @@ def solve_mvc(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, T
 
 def rollout_estimate(g: Graph, comparator: Comparator, num_rollouts: int, seed: int) -> int:
     """Best independent-set size over ``num_rollouts`` independent solver runs
-    (0 when no roll-outs are requested)."""
+    that take degree-1 vertices for free (0 when no roll-outs are requested)."""
     best = 0
     for i in range(num_rollouts):
-        vs, _ = solve_mis(g, comparator, derive_seed(seed, "rollout", i))
+        vs, _ = solve_mis(g, comparator, derive_seed(seed, "rollout", i), take_pendants=True)
         best = max(best, len(vs))
     return best
 

@@ -5,7 +5,10 @@ by running the current comparator-guided solver on sampled training graphs,
 taking sibling branch pairs from the recursion steps, and annotating each pair
 with roll-out (or greedy-floored) size estimates; (2) several epochs of
 mini-batch Adam on the pair classification loss. Labels always come from the
-model's own roll-outs, never from an exact solver. Training returns the
+model's own roll-outs, never from an exact solver. Those roll-outs, like the
+ones behind the consistency measure, take degree-1 vertices for free (an exact
+reduction, see ``dpsolve.solve_mis``); the harvest's own solve does not, so
+every recorded step is a decision of the comparator. Training returns the
 parameters of its last epoch: each refresh labels pairs under the latest
 model, and each refresh's validation split is new, so validation losses from
 different refreshes are not comparable and pick no checkpoint.
@@ -70,6 +73,7 @@ class Buffer:
     train: list[PairSample] = field(default_factory=list)
     val: list[PairSample] = field(default_factory=list)
     capacity: int = 0  # configured ceiling for one refresh, for observability
+    sampled: int = 0  # steps harvest sampled; sampled - len(self) were estimate ties
 
     def __len__(self) -> int:
         return len(self.train) + len(self.val)
@@ -102,10 +106,17 @@ def harvest_pairs(
     """Run the solver once on ``g_init``, sample up to ``pairs_per_graph`` of
     its recursion steps, and turn those whose estimates differ into labeled
     samples."""
+    return _harvest(g_init, params, cfg, seed)[0]
+
+
+def _harvest(
+    g_init: Graph, params: CmpParams, cfg: RunConfig, seed: int
+) -> tuple[list[PairSample], int]:
+    """``harvest_pairs``, plus the number of steps it sampled."""
     comparator = learned_mis_comparator(params)
     _, traj = solve_mis(g_init, comparator, derive_seed(seed, "solve"))
     if not traj.steps:
-        return []
+        return [], 0
     rng = random.Random(derive_seed(seed, "pick"))
     count = min(cfg.pairs_per_graph, len(traj.steps))
     indices = sorted(rng.sample(range(len(traj.steps)), count))
@@ -118,7 +129,7 @@ def harvest_pairs(
         if est0 == est1:
             continue
         samples.append(PairSample(step.g0, step.g1, int(est0 < est1), est0, est1))
-    return samples
+    return samples, count
 
 
 def refresh_buffer(
@@ -134,12 +145,15 @@ def refresh_buffer(
     else:
         picks = [rng.randrange(len(dataset)) for _ in range(cfg.graphs_per_refresh)]
     samples: list[PairSample] = []
+    sampled = 0
     for j, gi in enumerate(picks):
-        samples.extend(harvest_pairs(dataset[gi], params, cfg, derive_seed(seed, "harvest", j)))
+        stored, count = _harvest(dataset[gi], params, cfg, derive_seed(seed, "harvest", j))
+        samples.extend(stored)
+        sampled += count
     rng.shuffle(samples)
     n_val = int(len(samples) * VAL_FRACTION)
     capacity = cfg.graphs_per_refresh * cfg.pairs_per_graph
-    return Buffer(train=samples[n_val:], val=samples[:n_val], capacity=capacity)
+    return Buffer(train=samples[n_val:], val=samples[:n_val], capacity=capacity, sampled=sampled)
 
 
 def measure_consistency(
@@ -200,6 +214,10 @@ def train(dataset: Sequence[Graph], cfg: RunConfig) -> tuple[CmpParams, list[Met
     rng = random.Random(derive_seed(cfg.seed, "epochs"))
     while epoch < cfg.total_epochs:
         buffer = refresh_buffer(dataset, params, cfg, derive_seed(cfg.seed, "refresh", refresh_index))
+        log.info(
+            "refresh %d: sampled %d steps, dropped %d estimate ties, stored %d of capacity %d",
+            refresh_index, buffer.sampled, buffer.sampled - len(buffer), len(buffer), buffer.capacity,
+        )
         if len(buffer) == 0:
             log.warning(
                 "refresh %d produced an empty buffer: every harvested pair tied, or no graph had an edge",

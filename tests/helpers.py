@@ -23,6 +23,13 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return build_graph(n, edges)
 
 
+def random_forest(rng: random.Random, n: int, p: float) -> Graph:
+    """Each vertex after the first joins a uniformly drawn earlier vertex with
+    probability ``p``, so every component is a tree."""
+    edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < p]
+    return build_graph(n, edges)
+
+
 def degree_class_graphs() -> dict[str, Graph]:
     """Shapes that stress the scorer's grouping of vertices by degree: few
     classes, a single class, empty neighbour runs first and last in the edge

@@ -25,7 +25,7 @@ from cmpdp.generators import GenSpec, generate
 from cmpdp.graph import GraphError, build_graph, remove_neighbors, remove_vertex, remove_vertices
 from cmpdp.net import init_params, score_graph
 
-from helpers import random_graph
+from helpers import random_forest, random_graph
 
 
 def triangle():
@@ -50,6 +50,19 @@ def recording(comparator):
         return choice
 
     return compare, picked
+
+
+def without_pendants(g):
+    """Delete the neighbour of the lowest-id degree-1 vertex until none is left."""
+    while True:
+        pendants = [v for v in range(g.n) if g.degree(v) == 1]
+        if not pendants:
+            return g
+        g, _ = remove_vertices(g, g.neighbors(pendants[0]))
+
+
+def refuse(g0, g1):
+    raise AssertionError("the comparator was asked")
 
 
 class TestDeriveSeed:
@@ -100,6 +113,34 @@ class TestSolveMis:
                 assert (step.g0, step.g1) in branches
                 cur = chosen
             assert cur.m == 0 and cur.n == len(vs)
+
+    def test_validity_fuzz_random_comparator_taking_pendants(self):
+        rng = random.Random(101)
+        for trial in range(150):
+            g = random_graph(rng, rng.randint(0, 16), rng.random())
+            compare, picked = recording(random_comparator(trial))
+            vs, traj = solve_mis(g, compare, seed=trial, take_pendants=True)
+            assert vs.valid_for(g)
+            assert len(traj.steps) == len(picked)
+            cur = without_pendants(g)
+            for step, chosen in zip(traj.steps, picked):
+                # a step is recorded only where no degree-1 vertex is left
+                assert all(cur.degree(v) != 1 for v in range(cur.n))
+                branches = {
+                    (remove_vertex(cur, v)[0], remove_neighbors(cur, v)[0])
+                    for v in range(cur.n) if cur.degree(v) > 0
+                }
+                assert (step.g0, step.g1) in branches
+                cur = without_pendants(chosen)
+            assert cur.m == 0 and cur.n == len(vs)
+
+    def test_oracle_optimality_taking_pendants(self):
+        rng = random.Random(201)
+        comparator = oracle_mis_comparator()
+        for trial in range(40):
+            g = random_graph(rng, rng.randint(1, 14), rng.random())
+            vs, _ = solve_mis(g, comparator, seed=trial, take_pendants=True)
+            assert vs.valid_for(g) and len(vs) == exact_mis_size(g)
 
     def test_oracle_optimality_small(self):
         rng = random.Random(200)
@@ -273,6 +314,15 @@ class TestEstimates:
             g = random_graph(rng, rng.randint(1, 12), rng.random())
             est = rollout_estimate(g, random_comparator(trial), 3, seed=trial)
             assert est <= exact_mis_size(g)
+
+    def test_forest_needs_no_comparator(self):
+        # every forest with an edge has a degree-1 vertex, so roll-outs solve
+        # it exactly by the degree-1 rule alone and never score a graph
+        rng = random.Random(12)
+        for trial in range(60):
+            g = random_forest(rng, rng.randint(0, 30), rng.uniform(0.3, 1.0))
+            assert rollout_estimate(g, refuse, 2, seed=trial) == exact_mis_size(g)
+            assert mixed_estimate(g, refuse, 1, seed=trial) == exact_mis_size(g)
 
     def test_mixed_zero_rollouts_is_greedy(self):
         g = random_graph(random.Random(9), 12, 0.3)
