@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -35,6 +36,7 @@ from .graph import (
     build_graph,
     remove_neighbors,
     remove_vertex,
+    remove_vertices,
 )
 from .net import CmpParams, score_graph
 
@@ -122,35 +124,61 @@ def solve_mis(
     winner. The surviving vertices, mapped back to original ids, are always an
     independent set of ``g``.
 
-    With ``take_pendants``, a step first looks for a degree-1 vertex (the
-    lowest id, no random draw) and, if there is one, deletes its neighbour
-    without asking the comparator or recording a step. This is exact: if a
-    maximum independent set holds the neighbour, swapping it for the pendant
-    gives another, so some maximum independent set excludes the neighbour.
+    With ``take_pendants``, a step first takes degree-1 vertices while there
+    are any, each time the lowest id (no random draw), deleting its
+    neighbour without asking the comparator or recording a step. This is
+    exact: if a maximum independent set holds the neighbour, swapping it for
+    the pendant gives another, so some maximum independent set excludes the
+    neighbour. A run of such deletions is one graph edit
+    (:func:`_pendant_neighbours`).
     """
     rng = random.Random(seed)
     cur = g
     to_original = list(range(g.n))
     traj = Trajectory()
     while cur.m > 0:
-        pendant = _first_pendant(cur) if take_pendants else None
-        if pendant is not None:
-            cur, kept = remove_neighbors(cur, pendant)
-        else:
-            candidates = [v for v, row in enumerate(cur.adjacency) if row]
-            v = candidates[rng.randrange(len(candidates))]
-            g0, kept0 = remove_vertex(cur, v)
-            g1, kept1 = remove_neighbors(cur, v)
-            choice = 1 if comparator(g0, g1) else 0
-            traj.steps.append(RecursionStep(g0, g1))
-            cur, kept = (g0, kept0) if choice == 0 else (g1, kept1)
+        if take_pendants:
+            drop = _pendant_neighbours(cur)
+            if drop:
+                cur, kept = remove_vertices(cur, drop)
+                to_original = [to_original[old] for old in kept]
+                if cur.m == 0:
+                    break
+        candidates = [v for v, row in enumerate(cur.adjacency) if row]
+        v = candidates[rng.randrange(len(candidates))]
+        g0, kept0 = remove_vertex(cur, v)
+        g1, kept1 = remove_neighbors(cur, v)
+        choice = 1 if comparator(g0, g1) else 0
+        traj.steps.append(RecursionStep(g0, g1))
+        cur, kept = (g0, kept0) if choice == 0 else (g1, kept1)
         to_original = [to_original[old] for old in kept]
     return VertexSet(frozenset(to_original), INDEPENDENT_SET), traj
 
 
-def _first_pendant(g: Graph) -> int | None:
-    """The lowest-id vertex of degree 1, or None."""
-    return next((v for v, row in enumerate(g.adjacency) if len(row) == 1), None)
+def _pendant_neighbours(g: Graph) -> list[int]:
+    """The neighbours that a run of pendant steps deletes from ``g``: while
+    a degree-1 vertex is left, the lowest-id one loses its neighbour.
+    Deletions keep the survivors' order, so the lowest id here is the lowest
+    id in the graph each single deletion would leave. The run keeps degree
+    counts and a min-heap of the degree-1 vertices instead of rebuilding the
+    graph after each deletion."""
+    degree = [len(row) for row in g.adjacency]
+    pendants = [v for v, d in enumerate(degree) if d == 1]
+    dead = [False] * g.n
+    drop = []
+    while pendants:
+        v = heapq.heappop(pendants)
+        if dead[v] or degree[v] != 1:
+            continue  # its neighbour went, or it did, after it was pushed
+        u = next(x for x in g.adjacency[v] if not dead[x])
+        dead[u] = True
+        drop.append(u)
+        for x in g.adjacency[u]:
+            if not dead[x]:
+                degree[x] -= 1
+                if degree[x] == 1:
+                    heapq.heappush(pendants, x)
+    return drop
 
 
 @dataclass(frozen=True)

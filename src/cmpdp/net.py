@@ -6,32 +6,48 @@ scale and shift. The first ``rounds`` blocks are message rounds over
 zero-initialized node embeddings: a vertex's pre-activation concatenates
 linear maps of its own embedding, of the sum over its neighbours and of the
 sum over its strict non-neighbours. The last round is mean-pooled into one
-row of 3w, and the ``head_layers - 1`` hidden head layers are blocks on that
-one-row matrix. A final linear layer reads the last hidden output
-concatenated with the first (a skip connection) and gives one logit. Every
-block runs through :func:`_block` forward and :func:`_block_grad` backward.
+row of 3w per graph, and the ``head_layers - 1`` hidden head layers are
+blocks on those rows. A final linear layer reads the last hidden output
+concatenated with the first (a skip connection) and gives one logit per
+graph. Every block runs through :func:`_block` forward and
+:func:`_block_grad` backward.
 
-Everything is float64 numpy with hand-derived gradients; there is no autodiff
-and no batching across graphs, and nothing of size n x n is built.
+Everything is float64 numpy with hand-derived gradients; there is no
+autodiff, and nothing of size n x n is built. The forward pass
+(:func:`score_graphs`) and the backward pass run on a batch of graphs as one
+disjoint union, as graph libraries batch message passing (PyTorch Geometric,
+Fey & Lenssen 2019): a training mini-batch is one forward and one backward,
+and a single graph (:func:`score_graph`) is a batch of one.
 
 Each round runs on the rows it really has (the 1-WL colour argument for
 message-passing networks). Round 0's inputs are the zero embeddings, so it
 sees only its biases and gives every vertex the same row: it runs on one
 row, its weight gradients are exact zeros, and the backward pass stops after
 its bias and norm gradients (the zero row still goes through round 0's
-weight products, so a non-finite round-0 weight is still reported). Round
-1's inputs are then that shared row, so a vertex's output depends on its
-degree alone: it runs on one row per distinct degree. Round 2 runs per
+weight products, so a non-finite round-0 weight is still reported). That
+row is shared by every graph of a batch. Round 1's inputs are then that
+shared row, so a vertex's output depends on its degree and its graph's size
+alone: it runs on one row per (graph, degree) class. Round 2 runs per
 vertex; its neighbour sums are ``H @ T1``, where ``T1`` holds round 1's
-class rows and ``H[u, c]`` counts u's neighbours in degree class c. Later
-rounds sum neighbours through the sparse adjacency. The non-neighbour sum is
-(sum over all vertices - neighbour sum - self), and pooling is the
-count-weighted mean of the last round's rows. A round multiplies its weights
-into the previous round's rows before it sums them, so one from r' rows to
-r rows costs O(r' w^2) for the products, O(n c w) for round 2's c classes or
-O(m w) for a later round's edge sums, and O(r w) for its block. The backward
-pass carries the same rows, each holding the total gradient of the vertices
-it stands for.
+class rows of the vertex's graph and ``H[u, c]`` counts u's neighbours in
+class c. Later rounds sum neighbours through the sparse block-diagonal
+adjacency of the batch. The non-neighbour sum is (sum over all vertices of
+the graph - neighbour sum - self), and pooling is each graph's
+count-weighted mean of the last round's rows. A round multiplies its
+weights into the previous round's rows before it sums them, so one from r'
+rows to r rows costs O(r' w^2) for the products, O(n c w) for round 2's c
+classes per graph or O(m w) for a later round's edge sums, and O(r w) for
+its block. The backward pass carries the same rows, each holding the total
+gradient of the vertices it stands for.
+
+A round's rows are stored packed, graph after graph, and its maps act on a
+padded copy with one block per graph and as many slots as the batch's
+largest graph needs (:class:`_Slots`), so each map is one stacked matrix
+product. Spare cells count zero vertices, so they never reach a real row.
+A single graph needs no padding: its cells are its rows, so a batch of one
+pays for no gathers. The backward pass consumes the forward trace,
+computing in its storage, so that training on a batch holds about as many
+rows as its forward pass.
 
 Parameters, gradients and Adam moments are each one float64 vector in
 :func:`param_layout` order (``CmpParams.flat``), which is also the order of
@@ -52,7 +68,7 @@ import zlib
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf, expit
@@ -132,15 +148,15 @@ class WeightChecksumError(WeightFileError):
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact (erf-based) GELU, ``(0.5 * x) * (1 + erf(x / sqrt 2))``."""
-    out = erf(x * _SQRT1_2)
+    """Exact (erf-based) GELU, ``(0.5 * x) * (1 + erf(x / sqrt 2))``, built
+    in one array (halving is exact, so the order of the products does not
+    change the result)."""
+    out = x * _SQRT1_2
+    erf(out, out=out)
     out += 1.0
-    out *= 0.5 * x
+    out *= x
+    out *= 0.5
     return out
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x * _SQRT1_2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
 def head_dims(width: int, head_layers: int) -> list[tuple[int, int]]:
@@ -282,100 +298,237 @@ def init_params(rounds: int, width: int, head_layers: int, seed: int) -> CmpPara
     return p
 
 
-def _round_maps(g: Graph, rounds: int) -> tuple[list, list, list]:
-    """For each message round: how many vertices each of its rows stands for,
-    and the maps from the previous round's rows to its own input and its
-    neighbour sum (see :class:`ForwardTrace`)."""
-    n = g.n
-    degrees = np.fromiter(map(len, g.adjacency), np.intp, n)
-    per_degree = np.bincount(degrees)
-    class_degree = per_degree.nonzero()[0]
-    classes = class_degree.size
-    vertex_class = class_degree.searchsorted(degrees)
-    row_count = [np.array([float(n)]), per_degree[class_degree].astype(np.float64)]
-    own_map = [None, np.ones((classes, 1))]
-    neigh_map = [None, class_degree[:, None].astype(np.float64)]
+class _Slots(NamedTuple):
+    """Where one round's packed rows sit in its padded layout: an array of
+    (graph, slot) cells, with as many slots per graph as the batch's largest
+    graph has rows. A round without slots has rows that are their own cells:
+    one graph's rows, or round 0's one row, which every graph shares."""
+
+    pad: np.ndarray   # (graphs, slots): the packed row each cell reads; spare cells repeat a real row
+    pack: np.ndarray  # (rows,): the flat cell of each packed row
+
+
+def _slots(group: np.ndarray, per_group: np.ndarray) -> _Slots:
+    """Slots of the packed rows that ``group`` (non-decreasing) assigns to
+    graphs owning ``per_group`` rows each, at least one per graph."""
+    first = np.cumsum(per_group) - per_group
+    width = int(per_group.max())
+    pad = first[:, None] + np.minimum(np.arange(width), per_group[:, None] - 1)
+    return _Slots(pad, group * width + (np.arange(group.size) - first[group]))
+
+
+def _from_slots(cells: np.ndarray, slots: _Slots | None) -> np.ndarray:
+    """Padded (graphs, slots, d) back to packed (rows, d), dropping the
+    spare cells. Without slots, cells that still have a graph axis are
+    summed over it: the gradient every graph sends round 0's shared row."""
+    if slots is not None:
+        return cells.reshape(-1, cells.shape[-1])[slots.pack]
+    return cells if cells.ndim == 2 else cells.sum(axis=0)
+
+
+def _to_slots(rows: np.ndarray, slots: _Slots | None) -> np.ndarray:
+    """Packed (rows, ...) to padded (graphs, slots, ...) with zeros in the
+    spare cells: the transpose of :func:`_from_slots`."""
+    if slots is None:
+        return rows
+    cells = np.zeros((slots.pad.size,) + rows.shape[1:])
+    cells[slots.pack] = rows
+    return cells.reshape(slots.pad.shape + rows.shape[1:])
+
+
+class _BlockAdjacency:
+    """The batch's adjacency over its padded vertex cells: a block-diagonal
+    sparse matrix, one block per graph, applied to (graphs, slots, w)
+    stacks. It is symmetric, so it is its own transpose."""
+
+    def __init__(self, matrix) -> None:
+        self.matrix = matrix
+
+    def __matmul__(self, cells: np.ndarray) -> np.ndarray:
+        return (self.matrix @ cells.reshape(-1, cells.shape[-1])).reshape(cells.shape)
+
+    @property
+    def mT(self) -> "_BlockAdjacency":
+        return self
+
+
+def _batch_maps(graphs: Sequence[Graph], rounds: int) -> tuple[list, list, list, list]:
+    """For each message round of a batch of non-empty graphs: the slots of
+    its rows, how many vertices each of its cells stands for, and the maps
+    from the previous round's cells to its own input and its neighbour sum
+    (see :class:`ForwardTrace`)."""
+    count = len(graphs)
+    sizes = [g.n for g in graphs]
+    total = sum(sizes)
+    degrees = np.fromiter(chain.from_iterable([map(len, g.adjacency) for g in graphs]), np.intp, total)
+    # a class is a (graph, degree) pair, numbered graph by graph. A single
+    # graph's cells are its packed rows, so it needs no slots.
+    key = degrees
+    if count > 1:
+        span = int(degrees.max()) + 1
+        vertex_graph = np.repeat(np.arange(count), sizes)
+        key = vertex_graph * span + degrees
+    per_key = np.bincount(key)
+    class_key = per_key.nonzero()[0]
+    vertex_class = class_key.searchsorted(key)
+    class_slots = vertex_slots = None
+    class_degree, classes = class_key, class_key.size
+    if count > 1:
+        class_graph, class_degree = np.divmod(class_key, span)
+        class_slots = _slots(class_graph, np.bincount(class_graph, minlength=count))
+        classes = class_slots.pad.shape[1]
+        vertex_class = class_slots.pack[vertex_class] % classes  # the class's slot in its graph
+    slots = [None, class_slots]
+    row_count = [np.array(sizes, np.float64).reshape((count, 1, 1) if count > 1 else (1, 1)),
+                 _to_slots(per_key[class_key].astype(np.float64), class_slots)[..., None, :]]
+    neigh_map = [None, _to_slots(class_degree.astype(np.float64), class_slots)[..., None]]
+    own_map = [None, np.ones(neigh_map[1].shape)]
     if rounds > 2:
-        cols = np.fromiter(chain.from_iterable(g.adjacency), np.intp, 2 * g.m)
-        # entry (u, c): how many of u's neighbours are in degree class c
-        cell = np.repeat(np.arange(0, n * classes, classes), degrees)
-        cell += vertex_class[cols]
-        row_count.append(np.ones(n))
-        own_map.append(np.eye(classes)[vertex_class])
-        neigh_map.append(np.bincount(cell, minlength=n * classes).reshape(n, classes).astype(np.float64))
+        cols = np.fromiter(chain.from_iterable(chain.from_iterable([g.adjacency for g in graphs])), np.intp,
+                           2 * sum([g.m for g in graphs]))
+        cell, width = np.arange(total), total
+        if count > 1:
+            vertex_slots = _slots(vertex_graph, np.array(sizes))
+            cols += np.repeat(vertex_slots.pad[vertex_graph, 0], degrees)
+            cell, width = vertex_slots.pack, vertex_slots.pad.shape[1]
+        # entry (u, c): how many of u's neighbours are in class slot c of u's graph
+        entry = np.repeat(cell * classes, degrees)
+        entry += vertex_class[cols]
+        slots.append(vertex_slots)
+        row_count.append(_to_slots(np.ones(total), vertex_slots)[..., None, :])
+        own_map.append(_to_slots(np.eye(classes)[vertex_class], vertex_slots))
+        neigh_map.append(np.bincount(entry, minlength=count * width * classes)
+                         .reshape(own_map[2].shape).astype(np.float64))
     if rounds > 3:
         # imported here, not with the module: loading scipy.sparse adds about
         # 2 MB (3%) to the peak memory of a solve or training run, and only
         # geometries with 4 or more rounds get this far
         from scipy.sparse import csr_array
 
-        indptr = np.concatenate(([0], np.cumsum(degrees)))
-        adjacency = csr_array((np.ones(cols.size), cols, indptr), shape=(n, n))
+        cell_degree = np.zeros(count * width, np.intp)
+        cell_degree[cell] = degrees
+        indptr = np.concatenate(([0], np.cumsum(cell_degree)))
+        adjacency = csr_array((np.ones(cols.size), cell[cols], indptr), shape=(cell_degree.size,) * 2)
+        slots += [vertex_slots] * (rounds - 3)
         row_count += [row_count[2]] * (rounds - 3)
         own_map += [None] * (rounds - 3)
-        neigh_map += [adjacency] * (rounds - 3)
-    return row_count[:rounds], own_map[:rounds], neigh_map[:rounds]
+        neigh_map += [_BlockAdjacency(adjacency)] * (rounds - 3)
+    return slots[:rounds], row_count[:rounds], own_map[:rounds], neigh_map[:rounds]
 
 
 @dataclass
 class ForwardTrace:
-    """Intermediates of one forward pass, enough to run the backward pass.
+    """Intermediates of one forward pass over a batch, enough to run the
+    backward pass.
 
-    The block lists (``pre_act``, ``normed``, ``inv_std``, ``out``) hold one
-    entry per block: the message rounds first, then the hidden head layers.
-    Each entry has one row per row of its block. A round computes one row per
-    set of vertices that must share its output: round 0 one row for all n
-    vertices, round 1 one row per distinct degree, later rounds one row per
-    vertex. A head layer has one row. Round k >= 1 reads round k-1's rows,
-    after its weights, through two maps applied as ``map @ rows``:
-    ``own_map[k]`` gives each row its own input (None for the identity) and
-    ``neigh_map[k]`` its neighbour sum. Its non-neighbour sum is the sum over
-    all vertices, ``row_count[k - 1] @ rows``, less those two."""
+    The batch is the disjoint union of its non-empty graphs, listed in
+    ``live``. The block lists (``pre_act``, ``normed``, ``inv_std``,
+    ``out``) hold one entry per block: the message rounds first, then the
+    hidden head layers. Each entry holds the block's packed rows, graph by
+    graph. A round computes one row per set of vertices that must share its
+    output: round 0 one row for every vertex of every graph, round 1 one row
+    per (graph, degree) class, later rounds one row per vertex. A head layer
+    has one row per graph.
 
-    n: int
-    row_count: list[np.ndarray] = field(default_factory=list)  # per round, vertices per row
+    Round k >= 1 reads round k-1's rows, after its weights, in a padded
+    layout of (graph, slot) cells (``slots[k - 1]``; see :class:`_Slots`),
+    and writes its own cells (``slots[k]``), through maps applied per graph
+    as ``map @ cells``: ``own_map[k]`` gives each cell its own input (None
+    for the identity) and ``neigh_map[k]`` its neighbour sum. Its
+    non-neighbour sum is its graph's sum over all vertices,
+    ``row_count[k - 1] @ cells``, less those two. ``row_count[k]`` holds how
+    many vertices each cell of round k stands for, zero in spare cells, so
+    no spare cell reaches a real one. The backward pass consumes the block
+    lists."""
+
+    live: list[int]                     # batch positions of the non-empty graphs
+    sizes: np.ndarray | None = None     # (graphs, 1) their vertex counts
+    slots: list = field(default_factory=list)       # per round; None at round 0
+    row_count: list[np.ndarray] = field(default_factory=list)  # per round, (graphs, 1, slots); (1, rows) for one graph
     own_map: list = field(default_factory=list)      # per round; None at round 0
     neigh_map: list = field(default_factory=list)    # per round; None at round 0
     pre_act: list[np.ndarray] = field(default_factory=list)    # per block, before GELU
     normed: list[np.ndarray] = field(default_factory=list)     # per block, layer-norm x-hat
     inv_std: list[np.ndarray] = field(default_factory=list)    # per block, (rows, 1)
-    out: list[np.ndarray] = field(default_factory=list)        # per block, after scale and shift
-    pooled: np.ndarray | None = None       # (1, 3w), the head's input
-    final_input: np.ndarray | None = None  # (1, 2w)
+    out: list = field(default_factory=list)        # per block, after scale and shift; None for the last round
+    pooled: np.ndarray | None = None       # (graphs, 3w), the head's input
+    final_input: np.ndarray | None = None  # (graphs, 2w)
 
 
-def score_graph(params: CmpParams, g: Graph) -> tuple[float, ForwardTrace]:
-    """Logit for one graph. An empty graph scores 0 by convention (the
-    recursive solvers never compare empty graphs)."""
-    n = g.n
-    if n == 0:
-        return 0.0, ForwardTrace(n=0)
-    trace = ForwardTrace(n, *_round_maps(g, params.rounds))
+def score_graphs(params: CmpParams, graphs: Sequence[Graph]) -> tuple[np.ndarray, ForwardTrace]:
+    """Logits of a batch of graphs from one forward pass over their disjoint
+    union. An empty graph scores 0 by convention (the recursive solvers never
+    compare empty graphs)."""
+    live = [i for i, g in enumerate(graphs) if g.n]
+    trace = ForwardTrace(live)
+    if not live:
+        return np.zeros(len(graphs)), trace
+    trace.slots, trace.row_count, trace.own_map, trace.neigh_map = _batch_maps(
+        graphs if len(live) == len(graphs) else [graphs[i] for i in live], params.rounds)
+    trace.sizes = trace.row_count[0].reshape(-1, 1)
     rows = np.zeros((1, 3 * params.width))  # round 0's input: the shared zero row of every vertex
     for k in range(params.rounds):
-        # the weights act on the previous round's rows; the maps then sum the
-        # products, which is the product of the sums
-        a = rows @ params.self_w[k].T
-        b = rows @ params.neigh_w[k].T
-        c = rows @ params.anti_w[k].T
-        if k > 0:  # round 0's zero row is its own neighbour and non-neighbour sum
-            own_map, neigh_map = trace.own_map[k], trace.neigh_map[k]
-            own_c = c
-            if own_map is not None:
-                a, own_c = own_map @ a, own_map @ c
-            b = neigh_map @ b
-            c = trace.row_count[k - 1] @ c - neigh_map @ c - own_c
-        pre = np.concatenate((a + params.self_b[k], b + params.neigh_b[k], c + params.anti_b[k]), axis=1)
-        rows = _block(trace, pre, params.norm_scale[k], params.norm_shift[k])
-    rows = trace.pooled = (trace.row_count[-1] @ rows / n)[None]
+        rows = _block(trace, _round_input(params, trace, k, rows), params.norm_scale[k], params.norm_shift[k])
+    last, count = trace.slots[-1], trace.row_count[-1]
+    if last is None:
+        pooled = (count @ rows).reshape(len(live), -1)
+    else:  # the backward pass never reads the last round's rows, so they take their weights in place
+        rows *= _from_slots(count.mT, last)
+        pooled = np.add.reduceat(rows, last.pad[:, 0])
+    rows = trace.pooled = pooled / trace.sizes
     for i in range(params.head_layers - 1):
         pre = rows @ params.head_w[i].T + params.head_b[i]
         rows = _block(trace, pre, params.head_norm_scale[i], params.head_norm_shift[i])
     trace.final_input = np.concatenate((rows, trace.out[params.rounds]), axis=1)
-    logit = float((trace.final_input @ params.head_w[-1].T + params.head_b[-1])[0, 0])
-    if not np.isfinite(logit):
-        raise NonFiniteError("non-finite logit in final head layer")
-    return logit, trace
+    live_logits = (trace.final_input @ params.head_w[-1].T + params.head_b[-1])[:, 0]
+    if not np.isfinite(live_logits).all():
+        raise NonFiniteError(_non_finite_layer(trace))
+    trace.out[params.rounds - 1] = None  # only the pooling reads the last round's rows
+    if len(live) == len(graphs):
+        return live_logits, trace
+    logits = np.zeros(len(graphs))
+    logits[live] = live_logits
+    return logits, trace
+
+
+def _round_input(params: CmpParams, trace: ForwardTrace, k: int, rows: np.ndarray) -> np.ndarray:
+    """Round k's packed pre-activations from round k-1's packed rows."""
+    # the weights act on the previous round's rows; the maps then sum the
+    # products, which is the product of the sums
+    a = rows @ params.self_w[k].T
+    b = rows @ params.neigh_w[k].T
+    c = rows @ params.anti_w[k].T
+    if k > 0:  # round 0's zero row is its own neighbour and non-neighbour sum
+        prev, slots = trace.slots[k - 1], trace.slots[k]
+        if prev is not None:
+            a, b, c = a[prev.pad], b[prev.pad], c[prev.pad]
+        own_map, neigh_map = trace.own_map[k], trace.neigh_map[k]
+        c = _from_slots(trace.row_count[k - 1] @ c - neigh_map @ c - (c if own_map is None else own_map @ c), slots)
+        a = _from_slots(a if own_map is None else own_map @ a, slots)
+        b = _from_slots(neigh_map @ b, slots)
+    a += params.self_b[k]
+    b += params.neigh_b[k]
+    c += params.anti_b[k]
+    return np.concatenate((a, b, c), axis=1)
+
+
+def score_graph(params: CmpParams, g: Graph) -> tuple[float, ForwardTrace]:
+    """Logit for one graph: :func:`score_graphs` on a batch of one."""
+    logits, trace = score_graphs(params, (g,))
+    return float(logits[0]), trace
+
+
+def _non_finite_layer(trace: ForwardTrace) -> str:
+    """Names the first block whose output went non-finite. Such a value
+    reaches its graph's logit: the next layer's sums carry it into the rows
+    of that graph, and a layer norm turns a row holding it into NaN. So
+    checking the logits alone catches it."""
+    rounds = len(trace.row_count)
+    for j, out in enumerate(trace.out):
+        if not np.isfinite(out).all():
+            layer = f"message round {j}" if j < rounds else f"head layer {j - rounds}"
+            return f"non-finite activation after {layer}"
+    return "non-finite logit in final head layer"
 
 
 def _block(trace: ForwardTrace, pre: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -388,11 +541,8 @@ def _block(trace: ForwardTrace, pre: np.ndarray, scale: np.ndarray, shift: np.nd
     act -= np.add.reduce(act, axis=1, keepdims=True) / size
     inv = 1.0 / np.sqrt(np.add.reduce(act * act, axis=1, keepdims=True) / size + NORM_EPS)
     act *= inv
-    out = act * scale + shift
-    if not np.isfinite(out).all():
-        j, rounds = len(trace.out), len(trace.row_count)
-        layer = f"message round {j}" if j < rounds else f"head layer {j - rounds}"
-        raise NonFiniteError(f"non-finite activation after {layer}")
+    out = act * scale
+    out += shift
     trace.pre_act.append(pre)
     trace.normed.append(act)
     trace.inv_std.append(inv)
@@ -403,19 +553,37 @@ def _block(trace: ForwardTrace, pre: np.ndarray, scale: np.ndarray, shift: np.nd
 def _block_grad(
     dout: np.ndarray, trace: ForwardTrace, j: int, scale: np.ndarray, dscale: np.ndarray, dshift: np.ndarray
 ) -> np.ndarray:
-    """Back through block ``j`` from d(out): adds the scale and shift
-    gradients into ``dscale`` and ``dshift`` and returns d(pre-activation).
-    The layer norm's part is, per row,
-    ``inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))``."""
-    xhat = trace.normed[j]
-    dscale += (dout * xhat).sum(axis=0)
+    """Back through block ``j`` from d(out), which it overwrites: adds the
+    scale and shift gradients into ``dscale`` and ``dshift`` and returns
+    d(pre-activation). It consumes the block's entries of ``trace``,
+    computing in their storage. The layer norm's part is, per row,
+    ``inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))``, and GELU's
+    derivative is ``Phi(x) + x phi(x)``."""
+    xhat, trace.normed[j] = trace.normed[j], None
+    dscale += np.einsum("ij,ij->j", dout, xhat)
     dshift += dout.sum(axis=0)
-    dxhat = dout * scale
-    size = dxhat.shape[1]
-    dpre = dxhat - np.add.reduce(dxhat, axis=1, keepdims=True) / size
-    dpre -= xhat * (np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / size)
+    size = dout.shape[1]
+    proj = np.einsum("ij,j,ij->i", dout, scale, xhat)[:, None] / size
+    dpre = dout  # d(xhat) first, then d(pre) in the same rows
+    dpre *= scale
+    dpre -= np.add.reduce(dpre, axis=1, keepdims=True) / size
+    xhat *= proj
+    dpre -= xhat
+    del xhat
     dpre *= trace.inv_std[j]
-    dpre *= gelu_grad(trace.pre_act[j])
+    x, trace.pre_act[j] = trace.pre_act[j], None
+    cdf = x * _SQRT1_2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    cdf *= dpre
+    dpre *= x
+    x *= x
+    x *= -0.5
+    np.exp(x, out=x)
+    x *= _INV_SQRT_2PI
+    dpre *= x
+    dpre += cdf
     return dpre
 
 
@@ -429,42 +597,47 @@ def logit_pair_loss(z0: float, z1: float, label: int) -> float:
 
 
 def pair_loss_and_grad(
-    params: CmpParams, g: Graph, g_prime: Graph, label: int, grads: CmpParams | None = None
-) -> tuple[float, CmpParams]:
-    """Loss plus exact analytic gradients for every parameter tensor.
+    params: CmpParams, batch: Sequence[tuple[Graph, Graph, int]]
+) -> tuple[list[float], CmpParams]:
+    """Per-pair losses of a mini-batch of ``(g, g_prime, label)`` triples,
+    and the exact analytic gradient of their sum for every parameter tensor.
 
     label 1 means g_prime is annotated as the graph with the larger optimum.
-    The gradient reuses the CmpParams layout. It is added into ``grads`` when
-    one is given, such as a batch total, and into a new zero gradient
-    otherwise; either is returned.
+    Every label is checked before any forward pass. The batch's graphs go
+    through one forward and one backward pass (:func:`score_graphs`), and the
+    gradient comes back in a new ``CmpParams``.
     """
-    z0, t0 = score_graph(params, g)
-    z1, t1 = score_graph(params, g_prime)
-    loss = logit_pair_loss(z0, z1, label)
-    dz1 = float(expit(z1 - z0)) - label
-    if grads is None:
-        grads = zeros_like_params(params)
-    _backprop(params, t1, dz1, grads)
-    _backprop(params, t0, -dz1, grads)
-    return loss, grads
+    for i, (_, _, label) in enumerate(batch):
+        if label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {label!r} at index {i}")
+    pairs = len(batch)
+    logits, trace = score_graphs(params, [g for g, _, _ in batch] + [gp for _, gp, _ in batch])
+    z0, z1 = logits[:pairs], logits[pairs:]
+    labels = np.array([label for _, _, label in batch], dtype=np.float64)
+    losses = [logit_pair_loss(a, b, label) for a, b, (_, _, label) in zip(z0.tolist(), z1.tolist(), batch)]
+    dz1 = expit(z1 - z0) - labels
+    grads = zeros_like_params(params)
+    _backprop(params, trace, np.concatenate((-dz1, dz1))[trace.live], grads)
+    return losses, grads
 
 
-def _backprop(params: CmpParams, trace: ForwardTrace, dlogit: float, grads: CmpParams) -> None:
-    """Accumulate d(loss)/d(params) for one graph's forward trace.
+def _backprop(params: CmpParams, trace: ForwardTrace, dlogit: np.ndarray, grads: CmpParams) -> None:
+    """Add d(loss)/d(params) into ``grads``, given d(loss)/d(logit) of each
+    non-empty graph of a batch's forward trace.
 
     Each round's gradient is carried as one row per row of the forward: the
     total over the vertices that row stands for. That is exact, because the
     gradients through GELU and the layer norm are linear in the upstream
     gradient, with coefficients that are the same for every vertex of a row."""
-    if trace.n == 0:
-        return  # constant logit, nothing to propagate
+    if not trace.live:
+        return  # constant logits, nothing to propagate
     w = params.width
     rounds = params.rounds
     last = params.head_layers - 1
 
-    grads.head_w[last] += dlogit * trace.final_input
-    grads.head_b[last] += dlogit
-    dfinal = dlogit * params.head_w[last]
+    grads.head_w[last] += dlogit @ trace.final_input
+    grads.head_b[last] += dlogit.sum()
+    dfinal = dlogit[:, None] * params.head_w[last]
     dout = dfinal[:, :w]
     for i in range(last - 1, -1, -1):
         if i == 0:  # the skip connection's half joins at the first hidden layer
@@ -472,40 +645,59 @@ def _backprop(params: CmpParams, trace: ForwardTrace, dlogit: float, grads: CmpP
         dpre = _block_grad(dout, trace, rounds + i, params.head_norm_scale[i],
                            grads.head_norm_scale[i], grads.head_norm_shift[i])
         grads.head_w[i] += dpre.T @ (trace.out[rounds + i - 1] if i else trace.pooled)
-        grads.head_b[i] += dpre[0]
+        grads.head_b[i] += dpre.sum(axis=0)
         dout = dpre @ params.head_w[i]
     if not np.isfinite(dout).all():
         raise NonFiniteError("non-finite gradient entering the pooling layer")
 
-    dout = trace.row_count[-1][:, None] * (dout / trace.n)
+    last, count = trace.slots[-1], trace.row_count[-1]
+    dout = dout / trace.sizes
+    if last is None:
+        dout = _from_slots(count.mT * dout.reshape(count.shape[:-1] + (-1,)), None)
+    else:  # each row's share of its graph's mean, without a padded copy
+        dout = dout[last.pack // last.pad.shape[1]]
+        dout *= _from_slots(count.mT, last)
     for k in range(rounds - 1, -1, -1):
-        dpre = _block_grad(dout, trace, k, params.norm_scale[k], grads.norm_scale[k], grads.norm_shift[k])
-        da = dpre[:, :w]
-        db = dpre[:, w : 2 * w]
-        dc = dpre[:, 2 * w :]
-        grads.self_b[k] += da.sum(axis=0)
-        grads.neigh_b[k] += db.sum(axis=0)
-        grads.anti_b[k] += dc.sum(axis=0)
-        if k == 0:
-            # zero inputs: the weight gradients are exact zeros, and nothing
-            # reads the gradient of the initial embeddings
-            if not np.isfinite(dpre).all():
-                raise NonFiniteError("non-finite gradient in message round 0")
-            break
-        # back through the maps to the previous round's rows, then the weights
-        own_map, neigh_map = trace.own_map[k], trace.neigh_map[k]
-        dc_own = dc
-        if own_map is not None:
-            da, dc_own = own_map.T @ da, own_map.T @ dc
-        db = neigh_map.T @ db
-        dc = np.outer(trace.row_count[k - 1], dc.sum(axis=0)) - neigh_map.T @ dc - dc_own
-        prev = trace.out[k - 1]
-        grads.self_w[k] += da.T @ prev
-        grads.neigh_w[k] += db.T @ prev
-        grads.anti_w[k] += dc.T @ prev
-        dout = da @ params.self_w[k] + db @ params.neigh_w[k] + dc @ params.anti_w[k]
-        if not np.isfinite(dout).all():
-            raise NonFiniteError(f"non-finite gradient in message round {k}")
+        dout = _round_grad(params, trace, k, dout, grads)
+
+
+def _round_grad(
+    params: CmpParams, trace: ForwardTrace, k: int, dout: np.ndarray, grads: CmpParams
+) -> np.ndarray | None:
+    """Back through round k's block and :func:`_round_input` from d(out) of
+    its rows, which it overwrites: adds the round's gradients into ``grads``
+    and returns d(out) of round k-1's rows (None at round 0)."""
+    w = params.width
+    dpre = _block_grad(dout, trace, k, params.norm_scale[k], grads.norm_scale[k], grads.norm_shift[k])
+    grads.self_b[k] += dpre[:, :w].sum(axis=0)
+    grads.neigh_b[k] += dpre[:, w : 2 * w].sum(axis=0)
+    grads.anti_b[k] += dpre[:, 2 * w :].sum(axis=0)
+    if k == 0:
+        # zero inputs: the weight gradients are exact zeros, and nothing
+        # reads the gradient of the initial embeddings
+        if not np.isfinite(dpre).all():
+            raise NonFiniteError("non-finite gradient in message round 0")
+        return None
+    # back through the maps to the previous round's cells, one branch at a
+    # time, then to its rows and the weights
+    slots, own_map, neigh_map = trace.slots[k], trace.own_map[k], trace.neigh_map[k]
+    da = _to_slots(dpre[:, :w], slots)
+    if own_map is not None:
+        da = own_map.mT @ da
+    db = neigh_map.mT @ _to_slots(dpre[:, w : 2 * w], slots)
+    dc = _to_slots(dpre[:, 2 * w :], slots)
+    dc = (trace.row_count[k - 1].mT * dc.sum(axis=-2, keepdims=True) - neigh_map.mT @ dc
+          - (dc if own_map is None else own_map.mT @ dc))
+    prev_slots = trace.slots[k - 1]
+    da, db, dc = _from_slots(da, prev_slots), _from_slots(db, prev_slots), _from_slots(dc, prev_slots)
+    prev = trace.out[k - 1]
+    grads.self_w[k] += da.T @ prev
+    grads.neigh_w[k] += db.T @ prev
+    grads.anti_w[k] += dc.T @ prev
+    dout = da @ params.self_w[k] + db @ params.neigh_w[k] + dc @ params.anti_w[k]
+    if not np.isfinite(dout).all():
+        raise NonFiniteError(f"non-finite gradient in message round {k}")
+    return dout
 
 
 @dataclass

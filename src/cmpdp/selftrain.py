@@ -46,7 +46,6 @@ from .net import (
     logit_pair_loss,
     pair_loss_and_grad,
     score_graph,
-    zeros_like_params,
 )
 
 log = logging.getLogger(__name__)
@@ -236,10 +235,8 @@ def train(dataset: Sequence[Graph], cfg: RunConfig) -> tuple[CmpParams, list[Met
             losses: list[float] = []
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                total = zeros_like_params(params)
-                for sample in batch:
-                    loss, _ = pair_loss_and_grad(params, sample.g, sample.g_prime, sample.label, total)
-                    losses.append(loss)
+                batch_losses, total = pair_loss_and_grad(params, [(s.g, s.g_prime, s.label) for s in batch])
+                losses.extend(batch_losses)
                 total.flat /= len(batch)
                 params, state = adam_step(params, grads=total, state=state, lr=cfg.lr)
             train_loss = sum(losses) / len(losses) if losses else 0.0

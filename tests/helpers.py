@@ -122,8 +122,8 @@ def straight_line_logit(params: CmpParams, g: Graph) -> float:
 
 
 def pairwise_loss_value(params: CmpParams, g: Graph, gp: Graph, label: int) -> float:
-    """Loss recomputed from two independent forward calls (for finite
-    differences)."""
+    """Loss recomputed from two independent single-graph forward calls (for
+    finite differences)."""
     z0 = score_graph(params, g)[0]
     z1 = score_graph(params, gp)[0]
     d = z1 - z0
@@ -143,10 +143,15 @@ def hostile_header(geometry: tuple[int, int, int]) -> bytes:
 
 
 def finite_difference_grads(
-    params: CmpParams, g: Graph, gp: Graph, label: int, step: float = 1e-5
+    params: CmpParams, batch: list[tuple[Graph, Graph, int]], step: float = 1e-5
 ) -> CmpParams:
-    """Central differences of the pair loss for every parameter component."""
+    """Central differences of the summed pair loss of a batch of
+    (g, g_prime, label) triples for every parameter component, each pair
+    scored graph by graph."""
     from cmpdp.net import zeros_like_params
+
+    def loss() -> float:
+        return sum(pairwise_loss_value(params, g, gp, label) for g, gp, label in batch)
 
     grads = zeros_like_params(params)
     grad_map = dict(grads.tensors())
@@ -157,9 +162,9 @@ def finite_difference_grads(
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + step
-            hi = pairwise_loss_value(params, g, gp, label)
+            hi = loss()
             flat[i] = keep - step
-            lo = pairwise_loss_value(params, g, gp, label)
+            lo = loss()
             flat[i] = keep
             gflat[i] = (hi - lo) / (2.0 * step)
     return grads

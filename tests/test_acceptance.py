@@ -171,8 +171,8 @@ def test_criterion_06_gradient_check():
             g = random_graph(rng, rng.randint(2, 8), rng.uniform(0.2, 0.7))
             gp = random_graph(rng, rng.randint(2, 8), rng.uniform(0.2, 0.7))
             label = rng.randrange(2)
-            _, analytic = pair_loss_and_grad(params, g, gp, label)
-            numeric = finite_difference_grads(params, g, gp, label, step=1e-5)
+            _, analytic = pair_loss_and_grad(params, [(g, gp, label)])
+            numeric = finite_difference_grads(params, [(g, gp, label)], step=1e-5)
             for (_, a), (_, f) in zip(analytic.tensors(), numeric.tensors()):
                 bad += int(relative_mismatch(a, f, tol=1e-4).sum())
                 total += a.size

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmpdp import dpsolve
 from cmpdp.classic import exact_mis_size, exact_mvc_size, greedy_mis
 from cmpdp.dpsolve import (
     build_mvc_gadgets,
@@ -59,6 +60,30 @@ def without_pendants(g):
         if not pendants:
             return g
         g, _ = remove_vertices(g, g.neighbors(pendants[0]))
+
+
+def solve_mis_one_pendant_per_edit(g, comparator, seed):
+    """The reference for ``solve_mis(..., take_pendants=True)``: each step
+    deletes the neighbour of the lowest-id degree-1 vertex in a graph edit of
+    its own, and asks the comparator only when no such vertex is left.
+    Returns the members in original ids and the recorded branch pairs."""
+    rng = random.Random(seed)
+    cur = g
+    to_original = list(range(g.n))
+    steps = []
+    while cur.m > 0:
+        pendant = next((v for v, row in enumerate(cur.adjacency) if len(row) == 1), None)
+        if pendant is not None:
+            cur, kept = remove_neighbors(cur, pendant)
+        else:
+            candidates = [v for v, row in enumerate(cur.adjacency) if row]
+            v = candidates[rng.randrange(len(candidates))]
+            g0, kept0 = remove_vertex(cur, v)
+            g1, kept1 = remove_neighbors(cur, v)
+            steps.append((g0, g1))
+            cur, kept = (g0, kept0) if comparator(g0, g1) == 0 else (g1, kept1)
+        to_original = [to_original[old] for old in kept]
+    return frozenset(to_original), steps
 
 
 def refuse(g0, g1):
@@ -133,6 +158,33 @@ class TestSolveMis:
                 assert (step.g0, step.g1) in branches
                 cur = without_pendants(chosen)
             assert cur.m == 0 and cur.n == len(vs)
+
+    def test_pendant_runs_match_one_pendant_per_edit(self):
+        rng = random.Random(102)
+        for trial in range(350):
+            make = random_forest if trial % 3 == 0 else random_graph
+            g = make(rng, rng.randint(0, 24), rng.random() if trial % 2 else 0.3 * rng.random())
+            for seed in range(3):
+                vs, traj = solve_mis(g, random_comparator(seed), seed=trial + seed, take_pendants=True)
+                members, steps = solve_mis_one_pendant_per_edit(g, random_comparator(seed), trial + seed)
+                assert vs.members == members
+                assert [(s.g0, s.g1) for s in traj.steps] == steps
+
+    def test_a_pendant_run_is_one_graph_edit(self, monkeypatch):
+        # a path peels from its lowest-id end: every vertex it deletes was a
+        # pendant's neighbour in the graph the run had left
+        edits = []
+        real = dpsolve.remove_vertices
+
+        def counting(g, drop):
+            edits.append(sorted(drop))
+            return real(g, drop)
+
+        monkeypatch.setattr(dpsolve, "remove_vertices", counting)
+        path = build_graph(9, [(v, v + 1) for v in range(8)])
+        vs, traj = solve_mis(path, refuse, seed=0, take_pendants=True)
+        assert edits == [[1, 3, 5, 7]]
+        assert vs.members == {0, 2, 4, 6, 8} and traj.steps == []
 
     def test_oracle_optimality_taking_pendants(self):
         rng = random.Random(201)

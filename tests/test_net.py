@@ -35,6 +35,7 @@ from cmpdp.net import (
     params_to_bytes,
     save_params,
     score_graph,
+    score_graphs,
     zeros_like_params,
 )
 
@@ -140,19 +141,26 @@ class TestForward:
     def test_empty_graph_scores_zero(self):
         p = init_params(2, 4, 3, seed=0)
         logit, trace = score_graph(p, build_graph(0, []))
-        assert logit == 0.0 and trace.n == 0
+        assert logit == 0.0 and trace.live == []
+        logits, trace = score_graphs(p, [build_graph(0, [])] * 2)
+        assert logits.tolist() == [0.0, 0.0] and trace.live == []
 
     @pytest.mark.parametrize("head_layers", [2, 4, 5])
     def test_straight_line_oracle(self, head_layers):
         # at 2 the final layer's skip half is the single hidden layer itself
         graphs = [triangle(), path3(), build_graph(6, [(0, 3), (1, 4), (2, 5), (0, 5)])]
         graphs += degree_class_graphs().values()
+        # a batch mixes sizes, holds an empty graph and repeats a graph
+        batch = graphs + [build_graph(0, []), graphs[0], build_graph(1, [])]
         for rounds in (2, 4, 5):
             p = init_params(rounds, 3, head_layers, seed=rounds)
             for g in graphs:
                 fast, _ = score_graph(p, g)
                 slow = straight_line_logit(p, g)
                 assert math.isclose(fast, slow, rel_tol=1e-9, abs_tol=1e-12), (rounds, g)
+            batched, _ = score_graphs(p, batch)
+            for z, g in zip(batched, batch):
+                assert math.isclose(z, straight_line_logit(p, g), rel_tol=1e-12, abs_tol=1e-12), (rounds, g)
 
     def test_seed0_k3_vs_p3_reproducible(self):
         p = init_params(3, 4, 4, seed=0)
@@ -284,19 +292,19 @@ class TestPairLoss:
         p = init_params(2, 4, 3, seed=7)
         g = triangle()
         for label in (0, 1):
-            loss, _ = pair_loss_and_grad(p, g, g, label)
+            (loss,), _ = pair_loss_and_grad(p, [(g, g, label)])
             assert math.isclose(loss, math.log(2.0), rel_tol=1e-12)
             assert math.isclose(pairwise_loss_value(p, g, g, label), math.log(2.0), rel_tol=1e-12)
 
     def test_zero_params_give_ln2(self):
         p = zeroed(init_params(2, 4, 3, seed=7))
         for label in (0, 1):
-            loss, grads = pair_loss_and_grad(p, triangle(), path3(), label)
+            (loss,), grads = pair_loss_and_grad(p, [(triangle(), path3(), label)])
             assert math.isclose(loss, math.log(2.0), rel_tol=1e-12)
 
     def test_identical_graphs_have_zero_gradient(self):
         p = init_params(2, 4, 3, seed=7)
-        _, grads = pair_loss_and_grad(p, triangle(), triangle(), 0)
+        _, grads = pair_loss_and_grad(p, [(triangle(), triangle(), 0)])
         assert all(np.allclose(t, 0.0, atol=1e-12) for _, t in grads.tensors())
 
     @pytest.mark.parametrize("geometry", [(1, 4, 2), (3, 5, 3)])
@@ -304,7 +312,7 @@ class TestPairLoss:
         # round 0 sees only the zero initial embeddings
         p = init_params(*geometry, seed=3)
         rng = random.Random(8)
-        _, grads = pair_loss_and_grad(p, random_graph(rng, 9, 0.3), random_graph(rng, 12, 0.4), 1)
+        _, grads = pair_loss_and_grad(p, [(random_graph(rng, 9, 0.3), random_graph(rng, 12, 0.4), 1)])
         for name in ("self_w", "neigh_w", "anti_w"):
             assert not getattr(grads, name)[0].any()
             assert getattr(grads, name.replace("_w", "_b"))[0].any()
@@ -313,12 +321,18 @@ class TestPairLoss:
     def test_label_validated(self):
         p = init_params(1, 2, 2, seed=0)
         with pytest.raises(ValueError):
-            pair_loss_and_grad(p, triangle(), path3(), 2)
+            pair_loss_and_grad(p, [(triangle(), path3(), 2)])
+        # every label is checked before any forward pass, which these
+        # parameters would fail with a NonFiniteError
+        p.self_w[0][0, 0] = np.nan
+        batch = [(triangle(), path3(), 0), (path3(), triangle(), 1), (triangle(), path3(), 2)]
+        with pytest.raises(ValueError, match="got 2 at index 2"):
+            pair_loss_and_grad(p, batch)
 
     def test_loss_matches_forward_only_path(self):
         p = init_params(2, 3, 3, seed=5)
         for label in (0, 1):
-            loss, _ = pair_loss_and_grad(p, triangle(), path3(), label)
+            (loss,), _ = pair_loss_and_grad(p, [(triangle(), path3(), label)])
             reference = pairwise_loss_value(p, triangle(), path3(), label)
             assert math.isclose(loss, reference, rel_tol=1e-12)
 

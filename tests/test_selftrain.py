@@ -185,18 +185,18 @@ class TestTrain:
         params = init_params(2, 4, 2, seed=0)
         state = init_adam(params)
         for _ in range(60):
-            loss, grads = pair_loss_and_grad(params, g, gp, 1)
+            _, grads = pair_loss_and_grad(params, [(g, gp, 1)])
             params, state = adam_step(params, grads, state, lr=1e-3)
-        final, _ = pair_loss_and_grad(params, g, gp, 1)
+        (final,), _ = pair_loss_and_grad(params, [(g, gp, 1)])
         assert final < math.log(2.0)
 
     def test_one_adam_step_decreases_pair_loss(self):
         g = random_graph(random.Random(1), 7, 0.4)
         gp = random_graph(random.Random(2), 8, 0.4)
         params = init_params(2, 4, 2, seed=3)
-        loss0, grads = pair_loss_and_grad(params, g, gp, 0)
+        (loss0,), grads = pair_loss_and_grad(params, [(g, gp, 0)])
         params2, _ = adam_step(params, grads, init_adam(params), lr=1e-4)
-        loss1, _ = pair_loss_and_grad(params2, g, gp, 0)
+        (loss1,), _ = pair_loss_and_grad(params2, [(g, gp, 0)])
         assert loss1 < loss0
 
     def test_smoke_run_beats_random_guessing(self):
@@ -278,6 +278,25 @@ class TestTrain:
         monkeypatch.setattr(dpsolve, "score_graph", counting)
         train(er_dataset(6, 15, 0.15, seed=0), small_cfg(mixed=True))
         assert 0 < len(calls) <= 453 // 2
+
+    def test_one_gradient_call_per_adam_step(self, monkeypatch):
+        # a mini-batch is one forward and one backward over all its pairs
+        batches, steps = [], []
+        real_grad, real_adam_step = selftrain.pair_loss_and_grad, selftrain.adam_step
+
+        def counting_grad(params, batch):
+            batches.append(len(batch))
+            return real_grad(params, batch)
+
+        def counting_adam_step(*args, **kwargs):
+            steps.append(len(batches))
+            return real_adam_step(*args, **kwargs)
+
+        monkeypatch.setattr(selftrain, "pair_loss_and_grad", counting_grad)
+        monkeypatch.setattr(selftrain, "adam_step", counting_adam_step)
+        train(er_dataset(6, 15, 0.15, seed=0), small_cfg(batch_size=4))
+        assert steps == list(range(1, len(batches) + 1))
+        assert max(batches) == 4
 
     def test_degenerate_buffer_warns_but_trains(self, caplog):
         # triangles only: every harvested pair ties at estimate 1

@@ -10,9 +10,9 @@ from a learned solve, which a refactor could route around the wrapped names
 without any error; one checks that its data hooks still find the records
 they count (solver steps, buffer pairs, exact-search nodes, cache misses);
 one builds every ``RunConfig`` the bench files construct; and one checks
-that the package and a default-geometry forward do not load
-``scipy.sparse``, whose import alone adds about 2 MB to the benchmark's
-peak memory.
+that the package, a three-round forward and a default-geometry mini-batch
+gradient do not load ``scipy.sparse``, whose import alone adds about 2 MB to
+the benchmark's peak memory.
 """
 
 import ast
@@ -112,8 +112,11 @@ def test_package_and_a_three_round_forward_leave_scipy_sparse_unloaded():
     # a fresh process: this test session may have loaded it already
     script = ("import sys, cmpdp\n"
               "from cmpdp.graph import build_graph\n"
-              "from cmpdp.net import init_params, score_graph\n"
-              "score_graph(init_params(3, 8, 4, seed=0), build_graph(6, [(0, 1), (1, 2), (2, 3), (0, 4)]))\n"
+              "from cmpdp.net import init_params, pair_loss_and_grad, score_graph\n"
+              "g = build_graph(6, [(0, 1), (1, 2), (2, 3), (0, 4)])\n"
+              "h = build_graph(4, [(0, 1), (2, 3)])\n"
+              "score_graph(init_params(3, 8, 4, seed=0), g)\n"
+              "pair_loss_and_grad(init_params(3, 32, 4, seed=0), [(g, h, 1), (h, g, 0), (g, g, 1)])\n"
               "print('scipy.sparse' in sys.modules)\n")
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
