@@ -13,8 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classic import GraphTooLargeError
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .dpsolve import derive_seed
 from .evaluate import (
     METHODS,
@@ -25,8 +24,8 @@ from .evaluate import (
 )
 from .generators import MODELS, GenSpec, generate
 from .graph import Graph, GraphError
-from .graphio import GraphFormatError, read_graph_file, write_graph_file, write_solution
-from .net import NonFiniteError, WeightFileError, load_params, save_params
+from .graphio import read_graph_file, write_graph_file, write_solution
+from .net import NonFiniteError, load_params, save_params
 from .selftrain import harvest_pairs, measure_consistency, metrics_to_csv, train
 
 
@@ -62,16 +61,7 @@ def run_cli(argv: list[str]) -> int:
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (
-        ConfigError,
-        GraphError,
-        GraphFormatError,
-        GraphTooLargeError,
-        WeightFileError,
-        NonFiniteError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (ValueError, NonFiniteError, OSError) as exc:  # every named input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -48,7 +48,7 @@ class RunConfig:
     def validate(self) -> None:
         for key in ("lr", "local_search_seconds"):
             if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite")
+                raise ConfigError(f"{key} must be finite")
         for key in (
             "batch_size",
             "num_rollouts",
@@ -61,18 +61,18 @@ class RunConfig:
             "exact_budget",
         ):
             if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be positive")
+                raise ConfigError(f"{key} must be positive")
         for key in ("total_epochs", "local_search_seconds", "local_search_moves"):
             if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be non-negative")
+                raise ConfigError(f"{key} must be non-negative")
         if self.head_layers < 2:
-            raise ValueError("head_layers must be at least 2")
+            raise ConfigError("head_layers must be at least 2")
         count = param_count(self.rounds, self.width, self.head_layers)
         if count > MAX_PARAMS:
             raise ConfigError(f"rounds={self.rounds}, width={self.width}, head_layers={self.head_layers}"
                               f" give a model of {count:,} parameters, above the limit of {MAX_PARAMS:,}")
         if self.lr <= 0:
-            raise ValueError("lr must be positive")
+            raise ConfigError("lr must be positive")
 
 
 def load_config(
@@ -115,10 +115,7 @@ def config_from_values(values: Mapping[str, str], flags: Mapping[str, object] | 
             setattr(cfg, key, _convert(key, value, type(getattr(cfg, key))))
     for key, value in flags.items():
         setattr(cfg, key, value)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg.validate()
     return cfg
 
 

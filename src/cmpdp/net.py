@@ -587,13 +587,12 @@ def _block_grad(
     return dpre
 
 
-def logit_pair_loss(z0: float, z1: float, label: int) -> float:
-    """Cross-entropy of the two-way softmax over a pair's logits. label 1
-    means the second graph is annotated as the one with the larger optimum."""
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
+def logit_pair_loss(z0: np.ndarray, z1: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Cross-entropy of the two-way softmax over each pair's logits,
+    elementwise. Label 1 means the second graph is annotated as the one with
+    the larger optimum; callers check that every label is 0 or 1."""
     d = z1 - z0
-    return float(np.logaddexp(0.0, d) - label * d)
+    return np.logaddexp(0.0, d) - labels * d
 
 
 def pair_loss_and_grad(
@@ -614,7 +613,7 @@ def pair_loss_and_grad(
     logits, trace = score_graphs(params, [g for g, _, _ in batch] + [gp for _, gp, _ in batch])
     z0, z1 = logits[:pairs], logits[pairs:]
     labels = np.array([label for _, _, label in batch], dtype=np.float64)
-    losses = [logit_pair_loss(a, b, label) for a, b, (_, _, label) in zip(z0.tolist(), z1.tolist(), batch)]
+    losses = logit_pair_loss(z0, z1, labels).tolist()
     dz1 = expit(z1 - z0) - labels
     grads = zeros_like_params(params)
     _backprop(params, trace, np.concatenate((-dz1, dz1))[trace.live], grads)

@@ -121,13 +121,27 @@ def straight_line_logit(params: CmpParams, g: Graph) -> float:
     return float((params.head_w[-1] @ final_input + params.head_b[-1])[0])
 
 
+def reference_pair_loss(z0: float, z1: float, label: int) -> float:
+    """The pair loss of one pair on Python floats: cross-entropy of the
+    two-way softmax over (z0, z1), label 1 meaning the second graph is the
+    larger."""
+    return float(np.logaddexp(0, z1 - z0) - label * (z1 - z0))
+
+
+def mixed_pairs() -> list[tuple[Graph, Graph, int]]:
+    """(g, g_prime, label) triples with both labels, a graph repeated within
+    and across pairs, and the empty graph on either side."""
+    empty = build_graph(0, [])
+    tri = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    path = build_graph(3, [(0, 1), (1, 2)])
+    star = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    return [(tri, path, 0), (path, tri, 1), (tri, tri, 1), (empty, star, 1), (star, empty, 0), (star, path, 1)]
+
+
 def pairwise_loss_value(params: CmpParams, g: Graph, gp: Graph, label: int) -> float:
     """Loss recomputed from two independent single-graph forward calls (for
     finite differences)."""
-    z0 = score_graph(params, g)[0]
-    z1 = score_graph(params, gp)[0]
-    d = z1 - z0
-    return float(np.logaddexp(0.0, d) - label * d)
+    return reference_pair_loss(score_graph(params, g)[0], score_graph(params, gp)[0], label)
 
 
 # Weight-file geometries far too large for any real file: a loader that sizes

@@ -2,7 +2,9 @@
 process where a crash or a hang must show as such."""
 
 import csv
+import importlib
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -11,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from cmpdp.cli import run_cli
+import cmpdp
+from cmpdp.cli import CliUsageError, run_cli
 from cmpdp.graphio import parse_solution, read_graph_file, write_graph_file
 from cmpdp.generators import GenSpec, generate
 from cmpdp.graph import is_independent_set, is_vertex_cover
-from cmpdp.net import init_params, load_params, save_params
+from cmpdp.net import NonFiniteError, init_params, load_params, save_params
 
 from helpers import HOSTILE_GEOMETRIES, hostile_header
 
@@ -412,3 +415,14 @@ def test_ablate_checks_every_geometry_before_the_first_run(tiny_dataset, tmp_pat
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr[-2000:]
     assert "width=100000" in proc.stderr
     assert not out.exists()
+
+
+def test_every_package_error_is_one_that_run_cli_catches():
+    # run_cli maps ValueError and NonFiniteError to exit 2 and CliUsageError
+    # to exit 1; an error class outside those would escape as a traceback
+    modules = [cmpdp] + [importlib.import_module(f"cmpdp.{m.name}") for m in pkgutil.iter_modules(cmpdp.__path__)]
+    errors = {obj for module in modules for obj in vars(module).values()
+              if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__}
+    assert {"ConfigError", "GraphError", "GraphFormatError", "WeightChecksumError"} <= {e.__name__ for e in errors}
+    outside = [e.__name__ for e in errors if not issubclass(e, ValueError) and e not in (NonFiniteError, CliUsageError)]
+    assert outside == []

@@ -43,9 +43,11 @@ from helpers import (
     HOSTILE_GEOMETRIES,
     degree_class_graphs,
     hostile_header,
+    mixed_pairs,
     pairwise_loss_value,
     random_graph,
     reference_adam,
+    reference_pair_loss,
     straight_line_logit,
 )
 
@@ -335,6 +337,12 @@ class TestPairLoss:
             (loss,), _ = pair_loss_and_grad(p, [(triangle(), path3(), label)])
             reference = pairwise_loss_value(p, triangle(), path3(), label)
             assert math.isclose(loss, reference, rel_tol=1e-12)
+        # on the batch's own logits, each loss is the reference exactly
+        batch = mixed_pairs()
+        losses, _ = pair_loss_and_grad(p, batch)
+        logits, _ = score_graphs(p, [g for g, _, _ in batch] + [gp for _, gp, _ in batch])
+        z0, z1 = logits[: len(batch)].tolist(), logits[len(batch) :].tolist()
+        assert losses == [reference_pair_loss(a, b, label) for a, b, (_, _, label) in zip(z0, z1, batch)]
 
 
 class TestAdam:

@@ -12,8 +12,9 @@ from cmpdp.config import RunConfig
 from cmpdp.dpsolve import oracle_mis_comparator, random_comparator
 from cmpdp.generators import GenSpec, generate
 from cmpdp.graph import build_graph
-from cmpdp.net import adam_step, init_adam, init_params, pair_loss_and_grad
+from cmpdp.net import adam_step, init_adam, init_params, pair_loss_and_grad, score_graph
 from cmpdp.selftrain import (
+    PairSample,
     consistency_fraction,
     harvest_pairs,
     measure_consistency,
@@ -22,7 +23,7 @@ from cmpdp.selftrain import (
     train,
 )
 
-from helpers import random_graph
+from helpers import mixed_pairs, random_graph, reference_pair_loss
 
 
 def small_cfg(**overrides) -> RunConfig:
@@ -161,6 +162,19 @@ class TestConsistency:
     def test_empty_pairs_vacuous(self):
         params = init_params(1, 2, 2, seed=0)
         assert measure_consistency(params, [], 1, seed=0) == 1.0
+
+
+class TestValidate:
+    def test_loss_and_accuracy_equal_the_reference_exactly(self):
+        params = init_params(2, 3, 3, seed=5)
+        split = [PairSample(g, gp, label, 0, 0) for g, gp, label in mixed_pairs()]
+        z = [(score_graph(params, s.g)[0], score_graph(params, s.g_prime)[0]) for s in split]
+        loss = sum(reference_pair_loss(a, b, s.label) for (a, b), s in zip(z, split)) / len(split)
+        accuracy = sum(int(a < b) == s.label for (a, b), s in zip(z, split)) / len(split)
+        result = selftrain._validate(params, split)
+        assert result == (loss, accuracy)
+        assert [type(x) for x in result] == [float, float]
+        assert selftrain._validate(params, []) == (0.0, 0.0)
 
 
 class TestTrain:

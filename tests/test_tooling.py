@@ -9,25 +9,30 @@ first; one checks that its solve timer still gets samples from training and
 from a learned solve, which a refactor could route around the wrapped names
 without any error; one checks that its data hooks still find the records
 they count (solver steps, buffer pairs, exact-search nodes, cache misses);
-one builds every ``RunConfig`` the bench files construct; and one checks
+one builds every ``RunConfig`` the bench files construct; one checks
 that the package, a three-round forward and a default-geometry mini-batch
 gradient do not load ``scipy.sparse``, whose import alone adds about 2 MB to
-the benchmark's peak memory.
+the benchmark's peak memory; and one checks that the installed numpy and
+scipy meet the floors ``pyproject.toml`` declares.
 """
 
 import ast
 import dataclasses
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from cmpdp import evaluate, selftrain
 from cmpdp.config import RunConfig
 from cmpdp.generators import GenSpec, generate
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def tiny_cfg() -> RunConfig:
@@ -122,3 +127,19 @@ def test_package_and_a_three_round_forward_leave_scipy_sparse_unloaded():
     proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def release(version: str) -> tuple[int, ...]:
+    """The leading numeric release of a version string: "2.4.6" -> (2, 4, 6)."""
+    return tuple(int(part) for part in re.match(r"\d+(\.\d+)*", version).group().split("."))
+
+
+def test_installed_numpy_and_scipy_meet_the_declared_floors():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    dependencies = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    floors = dict(re.fullmatch(r"(\w+)>=([\d.]+)", dep).groups() for dep in dependencies)
+    assert set(floors) == {"numpy", "scipy"}
+    for name, floor in floors.items():
+        assert release(importlib.import_module(name).__version__) >= release(floor), name
+    # the scorer's backward pass uses ndarray.mT, which numpy 2.0 added
+    assert release(floors["numpy"]) >= (2, 0)
