@@ -114,7 +114,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--weights", required=True, nargs="+", help="one or more weight files")
     p.add_argument("--out", required=True)
-    p.add_argument("--pairs", type=int, default=64, help="pairs to harvest")
+    p.add_argument("--pairs", type=int, help="pairs to harvest (default: consistency_pairs)")
     _add_config_overrides(p)
     p.set_defaults(func=_cmd_consistency)
 
@@ -263,19 +263,20 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_consistency(args) -> int:
-    if args.pairs < 1:
+    if args.pairs is not None and args.pairs < 1:
         raise CliUsageError("--pairs must be positive")
     cfg = _load_cfg(args)
+    want = cfg.consistency_pairs if args.pairs is None else args.pairs
     graphs, _ = _load_dataset(args.dataset)
     lines = ["index,weights,pairs,consistency"]
     for idx, wpath in enumerate(args.weights):
         params = load_params(wpath)
         pairs = []
         for j, g in enumerate(graphs):
-            if len(pairs) >= args.pairs:
+            if len(pairs) >= want:
                 break
             pairs.extend(harvest_pairs(g, params, cfg, derive_seed(cfg.seed, "pairs", j)))
-        pairs = [(s.g, s.g_prime) for s in pairs[: args.pairs]]
+        pairs = [(s.g, s.g_prime) for s in pairs[:want]]
         value = measure_consistency(params, pairs, cfg.num_rollouts, derive_seed(cfg.seed, "cst", idx))
         lines.append(f"{idx},{wpath},{len(pairs)},{value:.6f}")
         print(f"{wpath}: consistency {value:.3f} over {len(pairs)} pairs")

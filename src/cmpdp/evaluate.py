@@ -72,6 +72,9 @@ class EvalReport:
     skipped_bound: int = 0
 
 
+LEARNED_METHODS = (METHOD_CMP, METHOD_CMP_MIXED)
+
+
 def run_method(
     g: Graph,
     method: str,
@@ -79,15 +82,18 @@ def run_method(
     cfg: RunConfig,
     seed: int,
     params: CmpParams | None = None,
+    *,
+    _learned: VertexSet | None = None,
 ) -> tuple[VertexSet, str]:
     """Solve one graph with one method. Learned and random comparator methods
     run ``cfg.num_rollouts`` solver passes and keep the best set; cmp-mixed
-    additionally competes against the greedy solution. For MVC the learned
-    methods keep the complement of each MIS pass (the scorer is trained on
-    MIS sizes only), while the random coin runs the copy-vertex recursion.
+    is the cmp solution unless greedy's is at least as good. For MVC the
+    learned methods keep the complement of the best MIS pass (the scorer is
+    trained on MIS sizes only), while the random coin runs the copy-vertex
+    recursion. ``_learned`` is the cmp solution when the caller has already
+    solved it.
     Returns the vertex set and "ok" or "bound" (exact method only)."""
-    if problem not in (MIS, MVC):
-        raise GraphError(f"problem must be 'mis' or 'mvc', got {problem!r}")
+    _check_request([method], problem, params)
     if method == METHOD_EXACT:
         r = exact_mis(g, cfg.exact_budget) if problem == MIS else exact_mvc(g, cfg.exact_budget)
         return r.vertex_set, STATUS_OK if r.optimal else STATUS_BOUND
@@ -96,41 +102,39 @@ def run_method(
     if method == METHOD_LOCAL:
         vs = local_search_mis(g, cfg.local_search_seconds, seed, cfg.local_search_moves or None)
         return (vs if problem == MIS else complement_cover(g, vs)), STATUS_OK
-    if method in (METHOD_CMP, METHOD_CMP_MIXED, METHOD_RANDOM):
-        best = _best_of_rollouts(g, method, problem, cfg, seed, params)
-        return best, STATUS_OK
-    raise GraphError(f"unknown method {method!r}")
-
-
-def _best_of_rollouts(
-    g: Graph,
-    method: str,
-    problem: str,
-    cfg: RunConfig,
-    seed: int,
-    params: CmpParams | None,
-) -> VertexSet:
     if method == METHOD_RANDOM:
-        comparator = random_comparator(derive_seed(seed, "coin"))
-    else:
-        if params is None:
-            raise GraphError(f"method {method!r} needs comparator weights")
-        comparator = learned_mis_comparator(params)
-    candidates: list[VertexSet] = []
+        return _best_coin_rollout(g, problem, cfg, seed), STATUS_OK
+    best = _learned if _learned is not None else _best_learned_rollout(g, problem, cfg, seed, params)
     if method == METHOD_CMP_MIXED:
-        candidates.append(greedy_mis(g) if problem == MIS else greedy_mvc(g))
-    for i in range(cfg.num_rollouts):
-        run_seed = derive_seed(seed, "run", i)
-        if problem == MIS:
-            vs, _ = solve_mis(g, comparator, run_seed)
-        elif method == METHOD_RANDOM:
-            vs, _ = solve_mvc(g, comparator, run_seed)
-        else:
-            vs = complement_cover(g, solve_mis(g, comparator, run_seed)[0])
-        candidates.append(vs)
-    if problem == MIS:
-        return max(candidates, key=len)
-    return min(candidates, key=len)
+        greedy = greedy_mis(g) if problem == MIS else greedy_mvc(g)
+        best = (max if problem == MIS else min)((greedy, best), key=len)  # greedy wins ties
+    return best, STATUS_OK
+
+
+def _check_request(methods: Sequence[str], problem: str, params: CmpParams | None) -> None:
+    if problem not in (MIS, MVC):
+        raise GraphError(f"problem must be 'mis' or 'mvc', got {problem!r}")
+    for method in methods:
+        if method not in METHODS:
+            raise GraphError(f"unknown method {method!r}")
+        if method in LEARNED_METHODS and params is None:
+            raise GraphError(f"method {method!r} needs comparator weights")
+
+
+def _best_coin_rollout(g: Graph, problem: str, cfg: RunConfig, seed: int) -> VertexSet:
+    comparator = random_comparator(derive_seed(seed, "coin"))
+    solve = solve_mis if problem == MIS else solve_mvc
+    runs = [solve(g, comparator, derive_seed(seed, "run", i))[0] for i in range(cfg.num_rollouts)]
+    return max(runs, key=len) if problem == MIS else min(runs, key=len)
+
+
+def _best_learned_rollout(
+    g: Graph, problem: str, cfg: RunConfig, seed: int, params: CmpParams
+) -> VertexSet:
+    comparator = learned_mis_comparator(params)
+    runs = [solve_mis(g, comparator, derive_seed(seed, "run", i))[0] for i in range(cfg.num_rollouts)]
+    best = max(runs, key=len)
+    return best if problem == MIS else complement_cover(g, best)
 
 
 def eval_dataset(
@@ -145,10 +149,10 @@ def eval_dataset(
     """One row per graph x method. The optimum comes from the exact oracle
     under ``cfg.exact_budget``; graphs whose oracle run exhausts the budget
     are marked "bound" and left out of the aggregates (counted in
-    ``skipped_bound``)."""
-    for method in methods:
-        if method not in METHODS:
-            raise GraphError(f"unknown method {method!r}")
+    ``skipped_bound``). The cmp and cmp-mixed rows of a graph share one set
+    of learned roll-outs, seeded as cmp's, and each row's seconds include
+    them."""
+    _check_request(methods, problem, params)
     if graph_ids is None:
         graph_ids = [f"g{i:04d}" for i in range(len(graphs))]
     if len(graph_ids) != len(graphs):
@@ -162,13 +166,20 @@ def eval_dataset(
         status = STATUS_OK if oracle.optimal else STATUS_BOUND
         if status == STATUS_BOUND:
             report.skipped_bound += 1
+        learned, learned_seconds = None, 0.0
+        if any(method in LEARNED_METHODS for method in methods):
+            t0 = time.perf_counter()
+            learned = _best_learned_rollout(g, problem, cfg, derive_seed(seed, gid, METHOD_CMP), params)
+            learned_seconds = time.perf_counter() - t0
         for method in methods:
             if method == METHOD_EXACT:
                 vs, seconds = oracle.vertex_set, oracle_seconds
             else:
+                shared = method in LEARNED_METHODS
+                method_seed = derive_seed(seed, gid, METHOD_CMP if shared else method)
                 t0 = time.perf_counter()
-                vs, _ = run_method(g, method, problem, cfg, derive_seed(seed, gid, method), params)
-                seconds = time.perf_counter() - t0
+                vs, _ = run_method(g, method, problem, cfg, method_seed, params, _learned=learned)
+                seconds = time.perf_counter() - t0 + (learned_seconds if shared else 0.0)
             ratio = _ratio(len(vs), optimum)
             report.rows.append(
                 EvalRow(gid, g.n, g.m, method, len(vs), optimum, ratio, seconds, status)

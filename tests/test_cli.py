@@ -265,6 +265,21 @@ def test_consistency_command(tiny_dataset, tmp_path):
     assert 0.0 <= float(rows[0]["consistency"]) <= 1.0
 
 
+def test_consistency_pairs_default_to_the_config_key(tiny_dataset, tmp_path, monkeypatch):
+    wpath = tmp_path / "w.cmp"
+    save_params(init_params(1, 3, 2, seed=1), wpath)
+    monkeypatch.setenv("CMPDP_CONSISTENCY_PAIRS", "5")
+    counts = []
+    for extra in ([], ["--pairs", "7"]):
+        out = tmp_path / f"curve{len(extra)}.csv"
+        rc = run_cli(["consistency", "--dataset", str(tiny_dataset), "--weights", str(wpath),
+                      "--out", str(out), "--rollouts", "1", *extra])
+        assert rc == 0
+        counts.append(int(read_csv(out)[0]["pairs"]))
+    assert counts[0] <= 5
+    assert counts[0] < counts[1] <= 7  # the flag still beats the key
+
+
 @pytest.mark.parametrize("pairs", ["0", "-2"])
 def test_consistency_pairs_below_one_is_usage_error(tiny_dataset, tmp_path, pairs, capsys):
     wpath = tmp_path / "w.cmp"

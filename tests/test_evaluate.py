@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cmpdp import evaluate
 from cmpdp.classic import exact_mis_size
 from cmpdp.config import RunConfig
 from cmpdp.evaluate import (
@@ -14,6 +15,7 @@ from cmpdp.evaluate import (
     METHOD_GREEDY,
     METHOD_LOCAL,
     METHOD_RANDOM,
+    METHODS,
     eval_dataset,
     report_rows_csv,
     report_summary_csv,
@@ -95,6 +97,75 @@ def test_mixed_at_least_greedy():
         assert sizes[METHOD_CMP_MIXED] >= sizes[METHOD_GREEDY]
 
 
+def eval_sets(monkeypatch, graphs, methods, problem, params):
+    """(graph id, method) -> (row size, members) of one eval_dataset call, the
+    members taken from the run_method call that made the row (None for the
+    exact rows, which come from the oracle)."""
+    made = {}
+    run_method = evaluate.run_method
+
+    def recording(g, method, *args, **kwargs):
+        vs, status = run_method(g, method, *args, **kwargs)
+        made[id(g), method] = vs.members
+        return vs, status
+
+    with monkeypatch.context() as m:
+        m.setattr(evaluate, "run_method", recording)
+        report = eval_dataset(graphs, methods, problem, cfg(num_rollouts=3), seed=3, params=params)
+    return {(r.graph_id, r.method): (r.size, made.get((id(graphs[int(r.graph_id[1:])]), r.method)))
+            for r in report.rows}
+
+
+@pytest.mark.parametrize("problem", ["mis", "mvc"])
+def test_cmp_mixed_is_the_better_of_cmp_and_greedy(monkeypatch, problem):
+    rng = random.Random(8)
+    graphs = [random_graph(rng, rng.randint(1, 18), rng.uniform(0.1, 0.6)) for _ in range(25)]
+    params = init_params(2, 4, 3, seed=4)
+    sets = eval_sets(monkeypatch, graphs, [METHOD_CMP, METHOD_GREEDY, METHOD_CMP_MIXED],
+                     problem, params)
+    better = max if problem == "mis" else min
+    for i in range(len(graphs)):
+        gid = f"g{i:04d}"
+        cmp_row, greedy_row = sets[gid, METHOD_CMP], sets[gid, METHOD_GREEDY]
+        # greedy is listed first, so it wins ties
+        assert sets[gid, METHOD_CMP_MIXED] == better(greedy_row, cmp_row, key=lambda r: r[0])
+
+
+@pytest.mark.parametrize("problem", ["mis", "mvc"])
+def test_learned_rows_do_not_depend_on_the_other_methods_requested(monkeypatch, problem):
+    rng = random.Random(9)
+    graphs = [random_graph(rng, rng.randint(4, 16), rng.uniform(0.1, 0.5)) for _ in range(8)]
+    params = init_params(2, 4, 3, seed=5)
+    requests = [[METHOD_CMP_MIXED], [METHOD_CMP], [METHOD_CMP_MIXED, METHOD_CMP],
+                [METHOD_CMP, METHOD_CMP_MIXED], list(METHODS)]
+    runs = [eval_sets(monkeypatch, graphs, methods, problem, params) for methods in requests]
+    for method in (METHOD_CMP, METHOD_CMP_MIXED):
+        rows = [{k: v for k, v in run.items() if k[1] == method} for run in runs]
+        rows = [r for r in rows if r]
+        assert len(rows) == 4 and len(rows[0]) == len(graphs)
+        assert all(r == rows[0] for r in rows)
+
+
+@pytest.mark.parametrize("problem", ["mis", "mvc"])
+def test_learned_rows_share_one_set_of_rollouts(monkeypatch, problem):
+    calls = []
+    solve_mis = evaluate.solve_mis
+
+    def counting(g, *args, **kwargs):
+        calls.append(g)
+        return solve_mis(g, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "solve_mis", counting)
+    rng = random.Random(10)
+    graphs = [random_graph(rng, rng.randint(3, 12), 0.4) for _ in range(4)]
+    run_cfg = cfg(num_rollouts=3)
+    eval_dataset(graphs, [METHOD_CMP, METHOD_CMP_MIXED], problem, run_cfg, seed=0,
+                 params=init_params(2, 4, 3, seed=6))
+    assert len(calls) == run_cfg.num_rollouts * len(graphs)
+    for g in graphs:
+        assert sum(c is g for c in calls) == run_cfg.num_rollouts
+
+
 def test_budget_exhaustion_marks_and_excludes():
     rng = random.Random(3)
     graphs = [random_graph(rng, 16, 0.5), random_graph(rng, 4, 0.5)]
@@ -132,6 +203,32 @@ def test_eval_deterministic():
 def test_learned_method_requires_weights():
     with pytest.raises(GraphError, match="weights"):
         run_method(build_graph(2, [(0, 1)]), METHOD_CMP, "mis", cfg(), seed=0)
+
+
+def no_oracle(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the exact oracle ran before the request was checked")
+
+    monkeypatch.setattr(evaluate, "exact_mis", fail)
+    monkeypatch.setattr(evaluate, "exact_mvc", fail)
+
+
+@pytest.mark.parametrize("method", [METHOD_CMP, METHOD_CMP_MIXED])
+def test_eval_without_weights_fails_before_any_solve(monkeypatch, method):
+    no_oracle(monkeypatch)
+    graphs = [build_graph(3, [(0, 1), (1, 2)])]
+    with pytest.raises(GraphError, match=f"{method!r}.*weights"):
+        eval_dataset(graphs, [METHOD_GREEDY, method], "mis", cfg(), seed=0)
+
+
+@pytest.mark.parametrize("problem", ["MIS", "cover", ""])
+def test_eval_rejects_an_unknown_problem(monkeypatch, problem):
+    no_oracle(monkeypatch)
+    graphs = [build_graph(3, [(0, 1), (1, 2)])]
+    with pytest.raises(GraphError, match="problem must be 'mis' or 'mvc'"):
+        eval_dataset(graphs, [METHOD_EXACT], problem, cfg(), seed=0)
+    with pytest.raises(GraphError, match="problem must be 'mis' or 'mvc'"):
+        run_method(graphs[0], METHOD_EXACT, problem, cfg(), seed=0)
 
 
 def test_unknown_method_rejected():

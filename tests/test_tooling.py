@@ -7,7 +7,10 @@ that no longer resolves. These tests import the bench files as they stand:
 one resolves every name ``layers`` lists, so a rename in ``src/`` fails here
 first; one checks that its solve timer still gets samples from training and
 from a learned solve, which a refactor could route around the wrapped names
-without any error; one checks that its data hooks still find the records
+without any error; one checks that every row of an all-method eval passes
+the benchmark's row checks, which see only sets returned by ``run_method``,
+and that its solve timer sees exactly one set of learned roll-outs per
+graph; one checks that its data hooks still find the records
 they count (solver steps, buffer pairs, exact-search nodes, cache misses);
 one builds every ``RunConfig`` the bench files construct; one checks
 that the package, a three-round forward and a default-geometry mini-batch
@@ -66,6 +69,24 @@ def test_bench_solve_timer_sees_training_and_learned_solves(monkeypatch):
         assert timer.take()
         evaluate.run_method(graphs[0], "cmp", "mis", cfg, seed=0, params=params)
         assert timer.take()
+
+
+def test_bench_eval_rows_pass_their_checks_and_time_one_set_of_rollouts(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    graphs = [generate(GenSpec("er", n=10, p=0.3, seed=s)) for s in range(3)]
+    cfg = tiny_cfg()
+    params, _ = selftrain.train(graphs, cfg)
+    with spans.Patches() as patches:
+        timer = layers.SolveTimer(patches)
+        for problem in ("mis", "mvc"):
+            out = workloads.Outcome()
+            workloads.evaluate_checked(out, graphs, evaluate.METHODS, problem, cfg, 0, params)
+            assert out.failures == []
+            assert out.attempted == len(graphs) * len(evaluate.METHODS) + 1
+            assert len(timer.take()) == cfg.num_rollouts * len(graphs), problem
 
 
 def test_bench_data_hooks_see_positive_counts(monkeypatch):
