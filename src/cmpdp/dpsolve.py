@@ -11,10 +11,14 @@ The learned scorer is trained on MIS sizes only, so learned evaluation solves
 MVC as the complement of ``solve_mis``; ``solve_mvc`` runs under the exact
 oracle and the random coin.
 
-Roll-out estimates (``rollout_estimate``, ``mixed_estimate``) take every
-degree-1 vertex for free, without asking the comparator: the reduction is
-exact (see ``solve_mis``) and spares most of their forward passes. Evaluation
-solves never use it, so their quality stays the comparator's own.
+Roll-out estimates (``rollout_estimate``, ``mixed_estimate``) reduce the
+graph before each comparator decision: they delete the neighbour of every
+degree-1 vertex, then every vertex u with a neighbour v whose closed
+neighbourhood lies inside u's (the domination rule). Both reductions are
+exact, because swapping u for v in a maximum independent set gives another
+(see ``solve_mis``), and they spare most of the estimates' forward passes.
+Evaluation solves never reduce, so their quality stays the comparator's own
+and no reduction is credited to the learned part.
 """
 
 from __future__ import annotations
@@ -117,33 +121,44 @@ class Trajectory:
 
 
 def solve_mis(
-    g: Graph, comparator: Comparator, seed: int, *, take_pendants: bool = False
+    g: Graph, comparator: Comparator, seed: int, *, reduce: bool = False
 ) -> tuple[VertexSet, Trajectory]:
     """Recursive MIS: while edges remain, pick a random vertex v of positive
     degree, compare (g minus v) against (g minus neighbors of v), and keep the
     winner. The surviving vertices, mapped back to original ids, are always an
     independent set of ``g``.
 
-    With ``take_pendants``, a step first takes degree-1 vertices while there
-    are any, each time the lowest id (no random draw), deleting its
-    neighbour without asking the comparator or recording a step. This is
-    exact: if a maximum independent set holds the neighbour, swapping it for
-    the pendant gives another, so some maximum independent set excludes the
-    neighbour. A run of such deletions is one graph edit
-    (:func:`_pendant_neighbours`).
+    With ``reduce``, a step first deletes vertices that some maximum
+    independent set of the current graph excludes, without a random draw,
+    asking the comparator or recording a step. Two runs, each one graph edit,
+    do this in order:
+
+    - a pendant run (:func:`_pendant_neighbours`): while a degree-1 vertex is
+      left, the lowest-id one loses its neighbour;
+    - a domination run (:func:`_dominated_vertices`): while some vertex u has
+      a neighbour v with N[v] ⊆ N[u] (closed neighbourhoods), the lowest-id
+      such u goes.
+
+    Both are exact. If a maximum independent set holds u, it holds no other
+    vertex of N[u] ⊇ N[v], so swapping u for v gives another maximum
+    independent set, which excludes u. A pendant's neighbour is the case
+    N[v] = {v, u}. A domination run ends with no dominated vertex, hence no
+    degree-1 vertex, so neither run needs repeating before the comparator is
+    asked.
     """
     rng = random.Random(seed)
     cur = g
     to_original = list(range(g.n))
     traj = Trajectory()
     while cur.m > 0:
-        if take_pendants:
-            drop = _pendant_neighbours(cur)
-            if drop:
-                cur, kept = remove_vertices(cur, drop)
-                to_original = [to_original[old] for old in kept]
-                if cur.m == 0:
-                    break
+        if reduce:
+            for run in (_pendant_neighbours, _dominated_vertices):
+                drop = run(cur)
+                if drop:
+                    cur, kept = remove_vertices(cur, drop)
+                    to_original = [to_original[old] for old in kept]
+            if cur.m == 0:
+                break
         candidates = [v for v, row in enumerate(cur.adjacency) if row]
         v = candidates[rng.randrange(len(candidates))]
         g0, kept0 = remove_vertex(cur, v)
@@ -178,6 +193,46 @@ def _pendant_neighbours(g: Graph) -> list[int]:
                 degree[x] -= 1
                 if degree[x] == 1:
                     heapq.heappush(pendants, x)
+    return drop
+
+
+def _dominated_vertices(g: Graph) -> list[int]:
+    """The vertices that a run of domination steps deletes from ``g``: while
+    some vertex u has a neighbour v with N[v] ⊆ N[u], the lowest-id such u
+    goes. Closed neighbourhoods are int bitmasks, and a min-heap worklist
+    holds the vertices that may be dominated. Deleting u shrinks only the
+    neighbourhoods of u's neighbours, so only they and their neighbours can
+    become dominated, and only they go back on the worklist. A vertex leaves
+    the worklist only to be checked, so every dominated vertex is on it, and
+    the first dominated vertex popped is the graph's lowest."""
+    if g.m == 0:
+        return []
+    adjacency = g.adjacency
+    worklist = [v for v, row in enumerate(adjacency) if row]  # ascending: a heap
+    bit = [1 << v for v in range(g.n)]
+    closed = [sum([bit[x] for x in row], bit[v]) for v, row in enumerate(adjacency)]
+    queued = [bool(row) for row in adjacency]
+    dead = [False] * g.n
+    drop = []
+    while worklist:
+        u = heapq.heappop(worklist)
+        queued[u] = False
+        cu = closed[u]
+        for v in adjacency[u]:
+            if not dead[v] and (closed[v] | cu) == cu:
+                break
+        else:
+            continue  # no neighbour's closed neighbourhood lies inside u's
+        dead[u] = True
+        drop.append(u)
+        for x in adjacency[u]:
+            if dead[x]:
+                continue
+            closed[x] ^= bit[u]
+            for y in (x, *adjacency[x]):
+                if not (dead[y] or queued[y]):
+                    queued[y] = True
+                    heapq.heappush(worklist, y)
     return drop
 
 
@@ -273,10 +328,11 @@ def solve_mvc(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, T
 
 def rollout_estimate(g: Graph, comparator: Comparator, num_rollouts: int, seed: int) -> int:
     """Best independent-set size over ``num_rollouts`` independent solver runs
-    that take degree-1 vertices for free (0 when no roll-outs are requested)."""
+    that reduce the graph before each decision (0 when no roll-outs are
+    requested)."""
     best = 0
     for i in range(num_rollouts):
-        vs, _ = solve_mis(g, comparator, derive_seed(seed, "rollout", i), take_pendants=True)
+        vs, _ = solve_mis(g, comparator, derive_seed(seed, "rollout", i), reduce=True)
         best = max(best, len(vs))
     return best
 

@@ -5,10 +5,13 @@ by running the current comparator-guided solver on sampled training graphs,
 taking sibling branch pairs from the recursion steps, and annotating each pair
 with roll-out (or greedy-floored) size estimates; (2) several epochs of
 mini-batch Adam on the pair classification loss. Labels always come from the
-model's own roll-outs, never from an exact solver. Those roll-outs, like the
-ones behind the consistency measure, take degree-1 vertices for free (an exact
-reduction, see ``dpsolve.solve_mis``); the harvest's own solve does not, so
-every recorded step is a decision of the comparator. Training returns the
+model's own roll-outs, never from an exact solver. Before each decision,
+those roll-outs, like the ones behind the consistency measure, delete the
+neighbour of every degree-1 vertex and every vertex u with a neighbour v such
+that N[v] ⊆ N[u]. Swapping u for v in a maximum independent set gives
+another, so some maximum independent set excludes each such vertex and both
+reductions are exact (see ``dpsolve.solve_mis``). The harvest's own solve does
+not reduce, so every recorded step is a decision of the comparator. Training returns the
 parameters of its last epoch: each refresh labels pairs under the latest
 model, and each refresh's validation split is new, so validation losses from
 different refreshes are not comparable and pick no checkpoint.

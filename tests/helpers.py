@@ -30,6 +30,22 @@ def random_forest(rng: random.Random, n: int, p: float) -> Graph:
     return build_graph(n, edges)
 
 
+def random_chordal(rng: random.Random, n: int) -> Graph:
+    """A triangle, then each further vertex joins two or more vertices of a
+    clique built so far, so that cliques glue on cliques. Every vertex's
+    earlier neighbours form a clique, so the reversed insertion order is a
+    perfect elimination order: the graph is chordal, and for n >= 3 every
+    degree is at least 2."""
+    cliques = [(0, 1, 2)]
+    edges = [(0, 1), (0, 2), (1, 2)]
+    for v in range(3, n):
+        base = rng.choice(cliques)
+        joined = rng.sample(base, rng.randint(2, len(base)))
+        edges.extend((u, v) for u in joined)
+        cliques.append((*joined, v))
+    return build_graph(n, edges)
+
+
 def degree_class_graphs() -> dict[str, Graph]:
     """Shapes that stress the scorer's grouping of vertices by degree: few
     classes, a single class, empty neighbour runs first and last in the edge

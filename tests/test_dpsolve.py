@@ -26,7 +26,7 @@ from cmpdp.generators import GenSpec, generate
 from cmpdp.graph import GraphError, build_graph, remove_neighbors, remove_vertex, remove_vertices
 from cmpdp.net import init_params, score_graph
 
-from helpers import random_forest, random_graph
+from helpers import random_chordal, random_forest, random_graph
 
 
 def triangle():
@@ -35,6 +35,10 @@ def triangle():
 
 def path3():
     return build_graph(3, [(0, 1), (1, 2)])
+
+
+def k6_minus_edge():
+    return build_graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if (u, v) != (0, 1)])
 
 
 def always(value):
@@ -53,37 +57,72 @@ def recording(comparator):
     return compare, picked
 
 
-def without_pendants(g):
-    """Delete the neighbour of the lowest-id degree-1 vertex until none is left."""
-    while True:
-        pendants = [v for v in range(g.n) if g.degree(v) == 1]
-        if not pendants:
-            return g
-        g, _ = remove_vertices(g, g.neighbors(pendants[0]))
+def lowest_pendant(g):
+    return next((v for v in range(g.n) if g.degree(v) == 1), None)
 
 
-def solve_mis_one_pendant_per_edit(g, comparator, seed):
-    """The reference for ``solve_mis(..., take_pendants=True)``: each step
-    deletes the neighbour of the lowest-id degree-1 vertex in a graph edit of
-    its own, and asks the comparator only when no such vertex is left.
-    Returns the members in original ids and the recorded branch pairs."""
+def lowest_dominated(g):
+    """The lowest-id vertex u with a neighbour v such that N[v] ⊆ N[u], or None."""
+    closed = [set(g.neighbors(v)) | {v} for v in range(g.n)]
+    return next((u for u in range(g.n) if any(closed[v] <= closed[u] for v in g.neighbors(u))), None)
+
+
+def reduced(g):
+    """The reference for the reduction ``solve_mis(..., reduce=True)`` makes
+    before a decision, one deleted vertex per graph edit: the neighbour of the
+    lowest-id degree-1 vertex until none is left, then the lowest-id dominated
+    vertex until none is left. Returns the reduced graph and its kept ids."""
+    kept = list(range(g.n))
+
+    def delete(v):
+        nonlocal g, kept
+        g, survivors = remove_vertex(g, v)
+        kept = [kept[old] for old in survivors]
+
+    while (pendant := lowest_pendant(g)) is not None:
+        delete(g.neighbors(pendant)[0])
+    while (u := lowest_dominated(g)) is not None:
+        delete(u)
+    return g, kept
+
+
+def solve_mis_one_vertex_per_edit(g, comparator, seed):
+    """The reference for ``solve_mis(..., reduce=True)``: :func:`reduced`
+    before every decision. Returns the members in original ids and the
+    recorded branch pairs."""
     rng = random.Random(seed)
     cur = g
     to_original = list(range(g.n))
     steps = []
-    while cur.m > 0:
-        pendant = next((v for v, row in enumerate(cur.adjacency) if len(row) == 1), None)
-        if pendant is not None:
-            cur, kept = remove_neighbors(cur, pendant)
-        else:
-            candidates = [v for v, row in enumerate(cur.adjacency) if row]
-            v = candidates[rng.randrange(len(candidates))]
-            g0, kept0 = remove_vertex(cur, v)
-            g1, kept1 = remove_neighbors(cur, v)
-            steps.append((g0, g1))
-            cur, kept = (g0, kept0) if comparator(g0, g1) == 0 else (g1, kept1)
+    while True:
+        cur, kept = reduced(cur)
         to_original = [to_original[old] for old in kept]
-    return frozenset(to_original), steps
+        if cur.m == 0:
+            return frozenset(to_original), steps
+        candidates = [v for v, row in enumerate(cur.adjacency) if row]
+        v = candidates[rng.randrange(len(candidates))]
+        g0, kept0 = remove_vertex(cur, v)
+        g1, kept1 = remove_neighbors(cur, v)
+        steps.append((g0, g1))
+        cur, kept = (g0, kept0) if comparator(g0, g1) == 0 else (g1, kept1)
+        to_original = [to_original[old] for old in kept]
+
+
+def min_degree_2_graph(rng, n, p):
+    """A random graph on n >= 3 vertices in which each vertex short of two
+    neighbours is joined to random others until it has two."""
+    adj = [set() for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u].add(v)
+                adj[v].add(u)
+    for v in range(n):
+        while len(adj[v]) < 2:
+            u = rng.choice([x for x in range(n) if x != v and x not in adj[v]])
+            adj[v].add(u)
+            adj[u].add(v)
+    return build_graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
 
 
 def refuse(g0, g1):
@@ -139,40 +178,41 @@ class TestSolveMis:
                 cur = chosen
             assert cur.m == 0 and cur.n == len(vs)
 
-    def test_validity_fuzz_random_comparator_taking_pendants(self):
+    def test_validity_fuzz_random_comparator_reduced(self):
         rng = random.Random(101)
         for trial in range(150):
             g = random_graph(rng, rng.randint(0, 16), rng.random())
             compare, picked = recording(random_comparator(trial))
-            vs, traj = solve_mis(g, compare, seed=trial, take_pendants=True)
+            vs, traj = solve_mis(g, compare, seed=trial, reduce=True)
             assert vs.valid_for(g)
             assert len(traj.steps) == len(picked)
-            cur = without_pendants(g)
+            cur = reduced(g)[0]
             for step, chosen in zip(traj.steps, picked):
-                # a step is recorded only where no degree-1 vertex is left
-                assert all(cur.degree(v) != 1 for v in range(cur.n))
+                # a step is recorded only where no vertex is dominated, so
+                # none has degree 1 either
+                assert lowest_dominated(cur) is None and lowest_pendant(cur) is None
                 branches = {
                     (remove_vertex(cur, v)[0], remove_neighbors(cur, v)[0])
                     for v in range(cur.n) if cur.degree(v) > 0
                 }
                 assert (step.g0, step.g1) in branches
-                cur = without_pendants(chosen)
+                cur = reduced(chosen)[0]
             assert cur.m == 0 and cur.n == len(vs)
 
-    def test_pendant_runs_match_one_pendant_per_edit(self):
+    def test_reduction_runs_match_one_vertex_per_edit(self):
         rng = random.Random(102)
+        graphs = [k6_minus_edge()]
         for trial in range(350):
             make = random_forest if trial % 3 == 0 else random_graph
-            g = make(rng, rng.randint(0, 24), rng.random() if trial % 2 else 0.3 * rng.random())
+            graphs.append(make(rng, rng.randint(0, 24), rng.random() if trial % 2 else 0.3 * rng.random()))
+        for trial, g in enumerate(graphs):
             for seed in range(3):
-                vs, traj = solve_mis(g, random_comparator(seed), seed=trial + seed, take_pendants=True)
-                members, steps = solve_mis_one_pendant_per_edit(g, random_comparator(seed), trial + seed)
+                vs, traj = solve_mis(g, random_comparator(seed), seed=trial + seed, reduce=True)
+                members, steps = solve_mis_one_vertex_per_edit(g, random_comparator(seed), trial + seed)
                 assert vs.members == members
                 assert [(s.g0, s.g1) for s in traj.steps] == steps
 
     def test_a_pendant_run_is_one_graph_edit(self, monkeypatch):
-        # a path peels from its lowest-id end: every vertex it deletes was a
-        # pendant's neighbour in the graph the run had left
         edits = []
         real = dpsolve.remove_vertices
 
@@ -181,17 +221,36 @@ class TestSolveMis:
             return real(g, drop)
 
         monkeypatch.setattr(dpsolve, "remove_vertices", counting)
+        # a path peels from its lowest-id end: every vertex it deletes was a
+        # pendant's neighbour in the graph the run had left
         path = build_graph(9, [(v, v + 1) for v in range(8)])
-        vs, traj = solve_mis(path, refuse, seed=0, take_pendants=True)
+        vs, traj = solve_mis(path, refuse, seed=0, reduce=True)
         assert edits == [[1, 3, 5, 7]]
         assert vs.members == {0, 2, 4, 6, 8} and traj.steps == []
+        # K6 minus the edge 0-1 has no degree-1 vertex, so the domination run
+        # takes it: 2..5 each contain N[0], and the last of them to go is
+        # the only neighbour left to 0 and 1
+        edits.clear()
+        vs, traj = solve_mis(k6_minus_edge(), refuse, seed=0, reduce=True)
+        assert edits == [[2, 3, 4, 5]]
+        assert vs.members == {0, 1} and traj.steps == []
 
     def test_oracle_optimality_taking_pendants(self):
         rng = random.Random(201)
         comparator = oracle_mis_comparator()
         for trial in range(40):
             g = random_graph(rng, rng.randint(1, 14), rng.random())
-            vs, _ = solve_mis(g, comparator, seed=trial, take_pendants=True)
+            vs, _ = solve_mis(g, comparator, seed=trial, reduce=True)
+            assert vs.valid_for(g) and len(vs) == exact_mis_size(g)
+
+    def test_oracle_optimality_reduced_without_degree_1_vertices(self):
+        # graphs the pendant run leaves alone, so only the domination run
+        # reduces them before the oracle decides
+        rng = random.Random(202)
+        comparator = oracle_mis_comparator()
+        for trial in range(60):
+            g = min_degree_2_graph(rng, rng.randint(3, 14), rng.uniform(0.05, 0.6))
+            vs, _ = solve_mis(g, comparator, seed=trial, reduce=True)
             assert vs.valid_for(g) and len(vs) == exact_mis_size(g)
 
     def test_oracle_optimality_small(self):
@@ -368,11 +427,19 @@ class TestEstimates:
             assert est <= exact_mis_size(g)
 
     def test_forest_needs_no_comparator(self):
-        # every forest with an edge has a degree-1 vertex, so roll-outs solve
-        # it exactly by the degree-1 rule alone and never score a graph
+        # every forest with an edge has a degree-1 vertex, and every chordal
+        # graph with an edge has a simplicial vertex of positive degree, which
+        # every neighbour's closed neighbourhood contains; deleting vertices
+        # keeps both families, so roll-outs solve them exactly by the
+        # reductions alone and never score a graph
         rng = random.Random(12)
         for trial in range(60):
             g = random_forest(rng, rng.randint(0, 30), rng.uniform(0.3, 1.0))
+            assert rollout_estimate(g, refuse, 2, seed=trial) == exact_mis_size(g)
+            assert mixed_estimate(g, refuse, 1, seed=trial) == exact_mis_size(g)
+        for trial in range(40):
+            g = random_chordal(rng, rng.randint(3, 30))
+            assert min(g.degree(v) for v in range(g.n)) >= 2
             assert rollout_estimate(g, refuse, 2, seed=trial) == exact_mis_size(g)
             assert mixed_estimate(g, refuse, 1, seed=trial) == exact_mis_size(g)
 

@@ -25,7 +25,7 @@ from cmpdp.generators import GenSpec, generate
 from cmpdp.graph import VERTEX_COVER, GraphError, build_graph
 from cmpdp.net import init_params
 
-from helpers import random_forest, random_graph
+from helpers import random_chordal, random_forest, random_graph
 
 
 def cfg(**overrides) -> RunConfig:
@@ -256,17 +256,18 @@ def test_run_method_outputs_valid_sets():
 
 
 def test_random_cmp_gets_no_degree_1_rule():
-    # roll-out estimates solve a forest exactly by the degree-1 rule alone;
+    # roll-out estimates solve a forest exactly by the degree-1 rule alone,
+    # and a chordal graph without degree-1 vertices by the domination rule;
     # evaluation solves must leave every decision to the comparator, so the
-    # coin still misses the optimum of this forest for some seed
-    g = random_forest(random.Random(13), 30, 0.9)
-    best = exact_mis_size(g)
-    sizes = []
-    for seed in range(20):
-        vs, _ = run_method(g, METHOD_RANDOM, "mis", cfg(), seed=seed)
-        assert vs.valid_for(g)
-        sizes.append(len(vs))
-    assert min(sizes) < best
+    # coin still misses the optimum of each graph for some seed
+    for g in (random_forest(random.Random(13), 30, 0.9), random_chordal(random.Random(13), 30)):
+        best = exact_mis_size(g)
+        sizes = []
+        for seed in range(20):
+            vs, _ = run_method(g, METHOD_RANDOM, "mis", cfg(), seed=seed)
+            assert vs.valid_for(g)
+            sizes.append(len(vs))
+        assert min(sizes) < best
 
 
 def test_learned_mvc_is_the_complement_of_learned_mis():
