@@ -28,6 +28,7 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable
 
 from .classic import exact_mis_size, exact_mvc_size, greedy_mis
@@ -42,7 +43,7 @@ from .graph import (
     remove_vertex,
     remove_vertices,
 )
-from .net import CmpParams, score_graph
+from .net import CmpParams, class_table, score_graph
 
 Comparator = Callable[[Graph, Graph], int]
 
@@ -60,10 +61,13 @@ _SCORE_CACHE_LIMIT = 200_000
 
 def _cached_scorer(params: CmpParams) -> Callable[[Graph], float]:
     """Parameters are fixed for the closure's lifetime, so logits can be
-    memoized; recursion tails revisit the same small subgraphs constantly."""
+    memoized; recursion tails revisit the same small subgraphs constantly.
+    Each miss reads rounds 0 and 1 from the parameters' class table."""
+    table = class_table(params)
+
     @functools.lru_cache(maxsize=_SCORE_CACHE_LIMIT)
     def score(g: Graph) -> float:
-        return score_graph(params, g)[0]
+        return score_graph(params, g, table)[0]
 
     return score
 
@@ -130,8 +134,8 @@ def solve_mis(
 
     With ``reduce``, a step first deletes vertices that some maximum
     independent set of the current graph excludes, without a random draw,
-    asking the comparator or recording a step. Two runs, each one graph edit,
-    do this in order:
+    asking the comparator or recording a step. Two runs, one graph edit
+    between them, do this in order:
 
     - a pendant run (:func:`_pendant_neighbours`): while a degree-1 vertex is
       left, the lowest-id one loses its neighbour;
@@ -152,11 +156,11 @@ def solve_mis(
     traj = Trajectory()
     while cur.m > 0:
         if reduce:
-            for run in (_pendant_neighbours, _dominated_vertices):
-                drop = run(cur)
-                if drop:
-                    cur, kept = remove_vertices(cur, drop)
-                    to_original = [to_original[old] for old in kept]
+            drop, dead, degree = _pendant_neighbours(cur)
+            drop += _dominated_vertices(cur, dead, degree)
+            if drop:
+                cur, kept = remove_vertices(cur, drop)
+                to_original = [to_original[old] for old in kept]
             if cur.m == 0:
                 break
         candidates = [v for v, row in enumerate(cur.adjacency) if row]
@@ -170,13 +174,14 @@ def solve_mis(
     return VertexSet(frozenset(to_original), INDEPENDENT_SET), traj
 
 
-def _pendant_neighbours(g: Graph) -> list[int]:
+def _pendant_neighbours(g: Graph) -> tuple[list[int], list[bool], list[int]]:
     """The neighbours that a run of pendant steps deletes from ``g``: while
     a degree-1 vertex is left, the lowest-id one loses its neighbour.
     Deletions keep the survivors' order, so the lowest id here is the lowest
     id in the graph each single deletion would leave. The run keeps degree
     counts and a min-heap of the degree-1 vertices instead of rebuilding the
-    graph after each deletion."""
+    graph after each deletion. Returns the deleted vertices, which vertices
+    are deleted, and the degree each vertex is left with (0 once deleted)."""
     degree = [len(row) for row in g.adjacency]
     pendants = [v for v, d in enumerate(degree) if d == 1]
     dead = [False] * g.n
@@ -187,32 +192,37 @@ def _pendant_neighbours(g: Graph) -> list[int]:
             continue  # its neighbour went, or it did, after it was pushed
         u = next(x for x in g.adjacency[v] if not dead[x])
         dead[u] = True
+        degree[u] = 0
         drop.append(u)
         for x in g.adjacency[u]:
             if not dead[x]:
                 degree[x] -= 1
                 if degree[x] == 1:
                     heapq.heappush(pendants, x)
-    return drop
+    return drop, dead, degree
 
 
-def _dominated_vertices(g: Graph) -> list[int]:
-    """The vertices that a run of domination steps deletes from ``g``: while
-    some vertex u has a neighbour v with N[v] ⊆ N[u], the lowest-id such u
-    goes. Closed neighbourhoods are int bitmasks, and a min-heap worklist
-    holds the vertices that may be dominated. Deleting u shrinks only the
-    neighbourhoods of u's neighbours, so only they and their neighbours can
-    become dominated, and only they go back on the worklist. A vertex leaves
-    the worklist only to be checked, so every dominated vertex is on it, and
-    the first dominated vertex popped is the graph's lowest."""
-    if g.m == 0:
-        return []
+def _dominated_vertices(g: Graph, dead: list[bool], degree: list[int]) -> list[int]:
+    """The vertices that a run of domination steps deletes from what is
+    left of ``g`` once the ``dead`` vertices are gone, each vertex v keeping
+    ``degree[v]`` neighbours: while some vertex u has a neighbour v
+    with N[v] ⊆ N[u], the lowest-id such u goes. Closed neighbourhoods are
+    int bitmasks, and a min-heap worklist holds the vertices that may be
+    dominated. Deleting u shrinks only the neighbourhoods of u's neighbours,
+    so only they and their neighbours can become dominated, and only they go
+    back on the worklist. A vertex leaves the worklist only to be checked, so
+    every dominated vertex is on it, and the first dominated vertex popped is
+    the graph's lowest. Marks the deleted vertices in ``dead``."""
+    if not any(degree):
+        return []  # no edge is left
+    queued = list(map(bool, degree))
+    worklist = list(compress(range(g.n), degree))  # ascending: a heap
     adjacency = g.adjacency
-    worklist = [v for v, row in enumerate(adjacency) if row]  # ascending: a heap
     bit = [1 << v for v in range(g.n)]
     closed = [sum([bit[x] for x in row], bit[v]) for v, row in enumerate(adjacency)]
-    queued = [bool(row) for row in adjacency]
-    dead = [False] * g.n
+    for u in compress(range(g.n), dead):
+        for x in adjacency[u]:
+            closed[x] &= ~bit[u]
     drop = []
     while worklist:
         u = heapq.heappop(worklist)

@@ -40,6 +40,13 @@ classes per graph or O(m w) for a later round's edge sums, and O(r w) for
 its block. The backward pass carries the same rows, each holding the total
 gradient of the vertices it stands for.
 
+Inference needs no backward pass. A forward given a :class:`ClassTable`
+records no trace and starts at round 2: round 0's row depends on the
+parameters alone and round 1's row on a vertex's (n, degree) class alone,
+so the table keeps them for one parameter set. The parameters keep their
+table (:func:`class_table`) for every comparator made from them. The
+table's rows are the traced pass's bit for bit, so logits do not change.
+
 A round's rows are stored packed, graph after graph, and its maps act on a
 padded copy with one block per graph and as many slots as the batch's
 largest graph needs (:class:`_Slots`), so each map is one stacked matrix
@@ -250,6 +257,7 @@ class CmpParams:
     head_b: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
     head_norm_scale: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
     head_norm_shift: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    _table: ClassTable | None = field(default=None, init=False, repr=False, compare=False)  # see class_table
 
     def __post_init__(self) -> None:
         layout = param_layout(self.rounds, self.width, self.head_layers)
@@ -352,11 +360,12 @@ class _BlockAdjacency:
         return self
 
 
-def _batch_maps(graphs: Sequence[Graph], rounds: int) -> tuple[list, list, list, list]:
+def _batch_maps(graphs: Sequence[Graph], rounds: int) -> tuple[list, list, list, list, np.ndarray, np.ndarray]:
     """For each message round of a batch of non-empty graphs: the slots of
     its rows, how many vertices each of its cells stands for, and the maps
     from the previous round's cells to its own input and its neighbour sum
-    (see :class:`ForwardTrace`)."""
+    (see :class:`ForwardTrace`). Then the graph size and the degree of each
+    packed round-1 row."""
     count = len(graphs)
     sizes = [g.n for g in graphs]
     total = sum(sizes)
@@ -372,9 +381,10 @@ def _batch_maps(graphs: Sequence[Graph], rounds: int) -> tuple[list, list, list,
     class_key = per_key.nonzero()[0]
     vertex_class = class_key.searchsorted(key)
     class_slots = vertex_slots = None
-    class_degree, classes = class_key, class_key.size
+    class_degree, classes, class_size = class_key, class_key.size, np.full(class_key.size, sizes[0])
     if count > 1:
         class_graph, class_degree = np.divmod(class_key, span)
+        class_size = np.array(sizes)[class_graph]
         class_slots = _slots(class_graph, np.bincount(class_graph, minlength=count))
         classes = class_slots.pad.shape[1]
         vertex_class = class_slots.pack[vertex_class] % classes  # the class's slot in its graph
@@ -413,7 +423,7 @@ def _batch_maps(graphs: Sequence[Graph], rounds: int) -> tuple[list, list, list,
         row_count += [row_count[2]] * (rounds - 3)
         own_map += [None] * (rounds - 3)
         neigh_map += [_BlockAdjacency(adjacency)] * (rounds - 3)
-    return slots[:rounds], row_count[:rounds], own_map[:rounds], neigh_map[:rounds]
+    return slots[:rounds], row_count[:rounds], own_map[:rounds], neigh_map[:rounds], class_size, class_degree
 
 
 @dataclass
@@ -439,7 +449,7 @@ class ForwardTrace:
     ``row_count[k - 1] @ cells``, less those two. ``row_count[k]`` holds how
     many vertices each cell of round k stands for, zero in spare cells, so
     no spare cell reaches a real one. The backward pass consumes the block
-    lists."""
+    lists. A forward with a :class:`ClassTable` records no blocks."""
 
     live: list[int]                     # batch positions of the non-empty graphs
     sizes: np.ndarray | None = None     # (graphs, 1) their vertex counts
@@ -447,6 +457,8 @@ class ForwardTrace:
     row_count: list[np.ndarray] = field(default_factory=list)  # per round, (graphs, 1, slots); (1, rows) for one graph
     own_map: list = field(default_factory=list)      # per round; None at round 0
     neigh_map: list = field(default_factory=list)    # per round; None at round 0
+    class_size: np.ndarray | None = None    # (classes,) per round-1 row, its graph's vertex count
+    class_degree: np.ndarray | None = None  # (classes,) per round-1 row, its vertices' degree
     pre_act: list[np.ndarray] = field(default_factory=list)    # per block, before GELU
     normed: list[np.ndarray] = field(default_factory=list)     # per block, layer-norm x-hat
     inv_std: list[np.ndarray] = field(default_factory=list)    # per block, (rows, 1)
@@ -455,20 +467,30 @@ class ForwardTrace:
     final_input: np.ndarray | None = None  # (graphs, 2w)
 
 
-def score_graphs(params: CmpParams, graphs: Sequence[Graph]) -> tuple[np.ndarray, ForwardTrace]:
+def score_graphs(
+    params: CmpParams, graphs: Sequence[Graph], table: ClassTable | None = None
+) -> tuple[np.ndarray, ForwardTrace | None]:
     """Logits of a batch of graphs from one forward pass over their disjoint
     union. An empty graph scores 0 by convention (the recursive solvers never
-    compare empty graphs)."""
+    compare empty graphs).
+
+    With a ``table`` of ``params``, the pass reads rounds 0 and 1 from it,
+    records no blocks and returns no trace: inference needs no backward
+    pass."""
     live = [i for i, g in enumerate(graphs) if g.n]
     trace = ForwardTrace(live)
+    record = trace if table is None else None
     if not live:
-        return np.zeros(len(graphs)), trace
-    trace.slots, trace.row_count, trace.own_map, trace.neigh_map = _batch_maps(
-        graphs if len(live) == len(graphs) else [graphs[i] for i in live], params.rounds)
+        return np.zeros(len(graphs)), record
+    (trace.slots, trace.row_count, trace.own_map, trace.neigh_map, trace.class_size,
+     trace.class_degree) = _batch_maps(graphs if len(live) == len(graphs) else [graphs[i] for i in live],
+                                       params.rounds)
     trace.sizes = trace.row_count[0].reshape(-1, 1)
-    rows = np.zeros((1, 3 * params.width))  # round 0's input: the shared zero row of every vertex
-    for k in range(params.rounds):
-        rows = _block(trace, _round_input(params, trace, k, rows), params.norm_scale[k], params.norm_shift[k])
+    start, rows = 0, np.zeros((1, 3 * params.width))  # round 0's input: the shared zero row of every vertex
+    if table is not None:
+        start, rows = table.start(params, trace) or (start, rows)
+    for k in range(start, params.rounds):
+        rows = _block(record, _round_input(params, trace, k, rows), params.norm_scale[k], params.norm_shift[k])
     last, count = trace.slots[-1], trace.row_count[-1]
     if last is None:
         pooled = (count @ rows).reshape(len(live), -1)
@@ -478,17 +500,22 @@ def score_graphs(params: CmpParams, graphs: Sequence[Graph]) -> tuple[np.ndarray
     rows = trace.pooled = pooled / trace.sizes
     for i in range(params.head_layers - 1):
         pre = rows @ params.head_w[i].T + params.head_b[i]
-        rows = _block(trace, pre, params.head_norm_scale[i], params.head_norm_shift[i])
-    trace.final_input = np.concatenate((rows, trace.out[params.rounds]), axis=1)
+        rows = _block(record, pre, params.head_norm_scale[i], params.head_norm_shift[i])
+        if i == 0:
+            first = rows  # the skip connection's half
+    trace.final_input = np.concatenate((rows, first), axis=1)
     live_logits = (trace.final_input @ params.head_w[-1].T + params.head_b[-1])[:, 0]
     if not np.isfinite(live_logits).all():
+        if table is not None:
+            score_graphs(params, graphs)  # a traced pass names the layer
         raise NonFiniteError(_non_finite_layer(trace))
-    trace.out[params.rounds - 1] = None  # only the pooling reads the last round's rows
+    if record is not None:
+        trace.out[params.rounds - 1] = None  # only the pooling reads the last round's rows
     if len(live) == len(graphs):
-        return live_logits, trace
+        return live_logits, record
     logits = np.zeros(len(graphs))
     logits[live] = live_logits
-    return logits, trace
+    return logits, record
 
 
 def _round_input(params: CmpParams, trace: ForwardTrace, k: int, rows: np.ndarray) -> np.ndarray:
@@ -512,10 +539,83 @@ def _round_input(params: CmpParams, trace: ForwardTrace, k: int, rows: np.ndarra
     return np.concatenate((a, b, c), axis=1)
 
 
-def score_graph(params: CmpParams, g: Graph) -> tuple[float, ForwardTrace]:
+def score_graph(
+    params: CmpParams, g: Graph, table: ClassTable | None = None
+) -> tuple[float, ForwardTrace | None]:
     """Logit for one graph: :func:`score_graphs` on a batch of one."""
-    logits, trace = score_graphs(params, (g,))
+    logits, trace = score_graphs(params, (g,), table)
     return float(logits[0]), trace
+
+
+# Largest ClassTable, in float64 values (4 MB): 5,461 classes at width 32,
+# where a solve at n = 110 meets a few hundred.
+TABLE_VALUES = 1 << 19
+
+
+class ClassTable:
+    """Rounds 0 and 1 of the forward pass for one fixed parameter set.
+
+    Round 0's row depends on the parameters alone, and round 1's row for a
+    vertex only on its (n, d) class: its graph's size and its degree. The
+    table keeps round 0's row and round 1's row of each class it has met,
+    adding those a forward misses through :func:`_round_input` and one
+    :func:`_block` call. A block's rows do not depend on each other, so they
+    are the traced pass's rows bit for bit. It holds at most ``cap``
+    classes and empties when a forward's new classes would pass that."""
+
+    def __init__(self, params: CmpParams) -> None:
+        self.flat = params.flat.copy()  # the values it was built for
+        w3 = 3 * params.width
+        self.cap = max(1, TABLE_VALUES // w3)
+        self.first = _block(None, _round_input(params, None, 0, np.zeros((1, w3))),
+                            params.norm_scale[0], params.norm_shift[0])
+        self.index: dict[int, int] = {}  # class key n(n - 1)/2 + d -> its row
+        self.rows = np.empty((0, w3))
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def start(self, params: CmpParams, trace: ForwardTrace) -> tuple[int, np.ndarray] | None:
+        """The first round that a forward of ``params`` over ``trace``'s
+        batch computes, and the packed rows of the round before it: round
+        1's class rows, or round 0's row in a one-round geometry. None if
+        the batch has more classes than ``cap``."""
+        if params.rounds == 1:
+            return 1, self.first
+        sizes, degrees = trace.class_size, trace.class_degree
+        keys = (sizes * (sizes - 1) // 2 + degrees).tolist()
+        at = [self.index.get(key, -1) for key in keys]
+        if -1 in at:
+            new = {key: i for i, (key, row) in enumerate(zip(keys, at)) if row < 0}
+            if len(self.index) + len(new) > self.cap:
+                new = dict(zip(keys, range(len(keys))))
+                if len(new) > self.cap:
+                    return None
+                self.index.clear()
+            # round 1's maps, as for one graph whose classes each have their own size
+            pick = list(new.values())
+            maps = ForwardTrace([], slots=[None, None], row_count=[sizes[pick, None].astype(np.float64)],
+                                own_map=[None, np.ones((len(pick), 1))],
+                                neigh_map=[None, degrees[pick, None].astype(np.float64)])
+            rows = _block(None, _round_input(params, maps, 1, self.first), params.norm_scale[1], params.norm_shift[1])
+            start, end = len(self.index), len(self.index) + len(pick)
+            if end > len(self.rows):
+                grown = np.empty((min(self.cap, 2 * end), rows.shape[1]))
+                grown[:start] = self.rows[:start]
+                self.rows = grown
+            self.rows[start:end] = rows
+            self.index.update(zip(new, range(start, end)))
+            at = [self.index[key] for key in keys]
+        return 2, self.rows[at]
+
+
+def class_table(params: CmpParams) -> ClassTable:
+    """The class table kept with ``params``, built anew when their values
+    have changed since it was: the short-lived comparators of an evaluation
+    share one table."""
+    if params._table is None or not np.array_equal(params._table.flat, params.flat):
+        params._table = ClassTable(params)
+    return params._table
 
 
 def _non_finite_layer(trace: ForwardTrace) -> str:
@@ -531,11 +631,12 @@ def _non_finite_layer(trace: ForwardTrace) -> str:
     return "non-finite logit in final head layer"
 
 
-def _block(trace: ForwardTrace, pre: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+def _block(trace: ForwardTrace | None, pre: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """GELU, a layer norm of each row, then ``scale`` and ``shift``; records
-    the block's intermediates in ``trace`` and returns its output rows. The
-    norm's sums and divisions are those of ``act.mean`` and ``act.var``, in
-    the same order, without the second mean pass."""
+    the block's intermediates in ``trace``, if given, and returns its output
+    rows. Each row's output depends on that row alone. The norm's sums and
+    divisions are those of ``act.mean`` and ``act.var``, in the same order,
+    without the second mean pass."""
     act = gelu(pre)
     size = act.shape[1]
     act -= np.add.reduce(act, axis=1, keepdims=True) / size
@@ -543,10 +644,11 @@ def _block(trace: ForwardTrace, pre: np.ndarray, scale: np.ndarray, shift: np.nd
     act *= inv
     out = act * scale
     out += shift
-    trace.pre_act.append(pre)
-    trace.normed.append(act)
-    trace.inv_std.append(inv)
-    trace.out.append(out)
+    if trace is not None:
+        trace.pre_act.append(pre)
+        trace.normed.append(act)
+        trace.inv_std.append(inv)
+        trace.out.append(out)
     return out
 
 

@@ -46,6 +46,7 @@ from .graph import Graph, graph_fingerprint
 from .net import (
     CmpParams,
     adam_step,
+    class_table,
     init_adam,
     init_params,
     logit_pair_loss,
@@ -264,10 +265,13 @@ def train(dataset: Sequence[Graph], cfg: RunConfig) -> tuple[CmpParams, list[Met
 
 def _validate(params: CmpParams, split: list[PairSample]) -> tuple[float, float]:
     """Mean pair loss and pair accuracy over the split. Each graph gets its
-    own ``score_graph`` call, which the benchmark's forward hook counts."""
+    own ``score_graph`` call, which the benchmark's forward hook counts, and
+    the calls share the parameters' class table."""
     if not split:
         return 0.0, 0.0
-    z0, z1 = np.array([(score_graph(params, s.g)[0], score_graph(params, s.g_prime)[0]) for s in split]).T
+    table = class_table(params)
+    z0, z1 = np.array([(score_graph(params, s.g, table)[0], score_graph(params, s.g_prime, table)[0])
+                       for s in split]).T
     labels = np.array([s.label for s in split], dtype=np.float64)
     loss = sum(logit_pair_loss(z0, z1, labels).tolist()) / len(split)
     return loss, int(np.count_nonzero((z0 < z1) == labels)) / len(split)

@@ -234,6 +234,13 @@ class TestSolveMis:
         vs, traj = solve_mis(k6_minus_edge(), refuse, seed=0, reduce=True)
         assert edits == [[2, 3, 4, 5]]
         assert vs.members == {0, 1} and traj.steps == []
+        # beside it, the path 6-7-8: the pendant run deletes 7, the
+        # domination run 2..5, and both go in one edit
+        edits.clear()
+        both = build_graph(9, list(k6_minus_edge().edges()) + [(6, 7), (7, 8)])
+        vs, traj = solve_mis(both, refuse, seed=0, reduce=True)
+        assert edits == [[2, 3, 4, 5, 7]]
+        assert vs.members == {0, 1, 6, 8} and traj.steps == []
 
     def test_oracle_optimality_taking_pendants(self):
         rng = random.Random(201)

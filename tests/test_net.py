@@ -17,6 +17,7 @@ from cmpdp.dpsolve import learned_mis_comparator
 from cmpdp.graph import build_graph, relabel
 from cmpdp.net import (
     MAGIC,
+    ClassTable,
     CmpParams,
     NonFiniteError,
     WeightChecksumError,
@@ -207,6 +208,73 @@ class TestForward:
         getattr(p, tensor)[0][0, 0] = value
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="round 0"):
             score_graph(p, triangle())
+        # the comparator's forwards read round 0 from a class table and
+        # still name the layer
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="round 0"):
+            learned_mis_comparator(p)(triangle(), path3())
+
+
+class TestClassTable:
+    @settings(max_examples=40, deadline=None)
+    @given(rounds=st.integers(1, 5), head_layers=st.integers(2, 4), width=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_logits_match_the_traced_pass_in_any_order(self, rounds, head_layers, width, seed):
+        rng = random.Random(seed)
+        p = init_params(rounds, width, head_layers, seed=seed)
+        # the empty graph, edgeless graphs, isolated vertices beside edges
+        corpus = [build_graph(0, []), build_graph(1, []), build_graph(9, []), build_graph(6, [(0, 1), (1, 2)])]
+        corpus += [random_graph(rng, rng.randint(0, 60), 0.4 * rng.random()) for _ in range(10)]
+        corpus += [random_graph(rng, corpus[-1].n, 0.2) for _ in range(2)]  # sizes repeat, so classes are shared
+        want = score_graphs(p, corpus)[0]
+        order = list(range(len(corpus)))
+        rng.shuffle(order)
+        table = ClassTable(p)
+        got = {}
+        for i in order:
+            got[i], trace = score_graph(p, corpus[i], table)
+            assert trace is None
+            assert abs(got[i] - want[i]) <= 1e-12, (i, got[i], want[i])
+        classes = {(g.n, len(row)) for g in corpus for row in g.adjacency}
+        assert len(table) == (len(classes) if rounds > 1 else 0)
+        # another table meeting the graphs in the opposite order gives the same bits
+        other = ClassTable(p)
+        assert [score_graph(p, corpus[i], other)[0] for i in reversed(order)] == [got[i] for i in reversed(order)]
+        batched, trace = score_graphs(p, corpus, table)
+        assert trace is None and np.abs(batched - want).max() <= 1e-12
+
+    def test_single_graphs_score_bit_for_bit_as_traced(self):
+        # so learned decisions, and the graphs a solve scores, do not move
+        rng = random.Random(12)
+        p = init_params(3, 8, 4, seed=1)
+        table = ClassTable(p)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 40), rng.random())
+            assert score_graph(p, g, table)[0] == score_graph(p, g)[0]
+
+    def test_stays_within_its_cap(self, monkeypatch):
+        rng = random.Random(8)
+        p = init_params(3, 4, 3, seed=5)
+        monkeypatch.setattr(net, "TABLE_VALUES", 12 * 3 * 4)  # 12 classes of 3w values
+        table = ClassTable(p)
+        assert table.cap == 12
+        corpus = [random_graph(rng, rng.randint(1, 40), 0.3) for _ in range(40)]
+        want = score_graphs(p, corpus)[0]
+        for g, z in zip(corpus, want):
+            assert abs(score_graph(p, g, table)[0] - z) <= 1e-12
+            assert len(table) <= 12 and len(table.rows) <= 12
+        # a batch with more classes than the cap runs from round 0
+        batched, _ = score_graphs(p, corpus, table)
+        assert np.abs(batched - want).max() <= 1e-12 and len(table) <= 12
+
+    def test_kept_with_the_parameters_until_they_change(self):
+        p = init_params(2, 3, 2, seed=0)
+        table = net.class_table(p)
+        assert net.class_table(p) is table
+        p.self_b[0][0] += 1.0
+        changed = net.class_table(p)
+        assert changed is not table
+        assert score_graph(p, triangle(), changed)[0] == score_graph(p, triangle())[0]
+        assert net.class_table(p.copy()) is not changed
 
 
 def sparse_graph(n: int, m: int, seed: int):

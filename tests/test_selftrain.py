@@ -307,9 +307,9 @@ class TestTrain:
         calls = []
         real = dpsolve.score_graph
 
-        def counting(params, g):
+        def counting(params, g, table=None):
             calls.append(g.n)
-            return real(params, g)
+            return real(params, g, table)
 
         monkeypatch.setattr(dpsolve, "score_graph", counting)
         for p, bound in ((0.15, 453 // 2), (0.35, 170)):
