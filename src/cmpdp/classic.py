@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from .graph import (
     INDEPENDENT_SET,
@@ -183,28 +185,37 @@ def local_search_mis(
 
     ``max_moves`` additionally caps the number of moves, which makes the
     result independent of wall-clock speed.
+
+    The non-members stay in one ascending list, kept up to date move by move
+    (as in Andrade, Resende & Werneck, J. Heuristics 2012): a move pops the
+    drawn entry and inserts each evicted neighbour in order, so it costs
+    O(degree log n) comparisons and one list shift per edit instead of an
+    O(n) rebuild. Draws index that list, so the moves do not depend on how
+    it is kept.
     """
     rng = random.Random(seed)
     order = list(range(g.n))
     rng.shuffle(order)
-    current: set[int] = set()
+    member = [False] * g.n
     for v in order:
-        if all(u not in current for u in g.adjacency[v]):
-            current.add(v)
-    best = set(current)
+        if not any(member[u] for u in g.adjacency[v]):
+            member[v] = True
+    outside = [v for v in range(g.n) if not member[v]]
+    best = frozenset(compress(range(g.n), member))
     deadline = time.monotonic() + max(0.0, time_limit)
     moves = 0
     while time.monotonic() < deadline:
         if max_moves is not None and moves >= max_moves:
             break
-        outside = [v for v in range(g.n) if v not in current]
         if not outside:
             break
-        v = outside[rng.randrange(len(outside))]
+        v = outside.pop(rng.randrange(len(outside)))
+        member[v] = True
         for u in g.adjacency[v]:
-            current.discard(u)
-        current.add(v)
-        if len(current) > len(best):
-            best = set(current)
+            if member[u]:
+                member[u] = False
+                insort(outside, u)
+        if g.n - len(outside) > len(best):
+            best = frozenset(compress(range(g.n), member))
         moves += 1
-    return VertexSet(frozenset(best), INDEPENDENT_SET)
+    return VertexSet(best, INDEPENDENT_SET)

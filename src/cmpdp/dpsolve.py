@@ -268,36 +268,33 @@ class MvcGadgets:
 
 
 def build_mvc_gadgets(g: Graph, v: int) -> MvcGadgets:
+    """Both branch graphs for ``v``, their edge lists read off the adjacency
+    rows in one pass: ``g0`` renumbers the vertices above v down by one."""
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} out of range for {g.n} vertices")
     neigh = g.adjacency[v]
     if not neigh:
         raise GraphError(f"vertex {v} is isolated; the MVC branch step needs degree >= 1")
-    neigh_set = set(neigh)
-
-    keep = [u for u in range(g.n) if u != v]
-    old_to_new = {old: new for new, old in enumerate(keep)}
-    base = len(keep)
-    edges0 = [
-        (old_to_new[a], old_to_new[b])
-        for a, b in g.edges()
-        if a != v and b != v and a not in neigh_set and b not in neigh_set
-    ]
-    source0 = list(keep)
-    copy0 = [False] * base
-    for i, u in enumerate(neigh):
-        edges0.append((old_to_new[u], base + i))
-        source0.append(u)
-        copy0.append(True)
-    g0 = build_graph(base + len(neigh), edges0)
-
-    edges1 = [(a, b) for a, b in g.edges() if a != v and b != v]
+    cleared = [False] * g.n  # g0 drops every edge at v or at a neighbour of v
+    cleared[v] = True
+    for u in neigh:
+        cleared[u] = True
+    edges0, edges1 = [], []
+    for a, row in enumerate(g.adjacency):
+        if a == v:
+            continue
+        for b in row:
+            if a < b != v:
+                edges1.append((a, b))
+                if not (cleared[a] or cleared[b]):
+                    edges0.append((a - (a > v), b - (b > v)))
+    base = g.n - 1
+    edges0 += [(u - (u > v), base + i) for i, u in enumerate(neigh)]
     edges1.append((v, g.n))
+    g0 = build_graph(base + len(neigh), edges0)
     g1 = build_graph(g.n + 1, edges1)
-    source1 = list(range(g.n)) + [v]
-    copy1 = [False] * g.n + [True]
-
-    return MvcGadgets(g0, tuple(source0), tuple(copy0), g1, tuple(source1), tuple(copy1))
+    return MvcGadgets(g0, (*range(v), *range(v + 1, g.n), *neigh), (False,) * base + (True,) * len(neigh),
+                      g1, (*range(g.n), v), (False,) * g.n + (True,))
 
 
 def solve_mvc(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, Trajectory]:
@@ -316,7 +313,7 @@ def solve_mvc(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, T
     is_copy = [False] * g.n
     traj = Trajectory()
     while cur.max_degree() >= 2:
-        candidates = [v for v in range(cur.n) if cur.degree(v) >= 1]
+        candidates = [v for v, row in enumerate(cur.adjacency) if row]
         v = candidates[rng.randrange(len(candidates))]
         gad = build_mvc_gadgets(cur, v)
         choice = 1 if comparator(gad.g0, gad.g1) else 0
@@ -326,8 +323,8 @@ def solve_mvc(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, T
             if choice == 0
             else (gad.g1, gad.g1_source, gad.g1_is_copy)
         )
-        source = [source[sel_source[i]] for i in range(gsel.n)]
-        is_copy = [sel_copy[i] or is_copy[sel_source[i]] for i in range(gsel.n)]
+        source = [source[s] for s in sel_source]
+        is_copy = [c or is_copy[s] for s, c in zip(sel_source, sel_copy)]
         cur = gsel
     cover: set[int] = set()
     for x, y in cur.edges():

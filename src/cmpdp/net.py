@@ -46,6 +46,9 @@ parameters alone and round 1's row on a vertex's (n, degree) class alone,
 so the table keeps them for one parameter set. The parameters keep their
 table (:func:`class_table`) for every comparator made from them. The
 table's rows are the traced pass's bit for bit, so logits do not change.
+A single graph's head then runs on a vector, not a one-row matrix, so its
+layer-norm statistics are numpy scalars; its sums and products are the
+one-row matrix's, so the logit is still the traced pass's bit for bit.
 
 A round's rows are stored packed, graph after graph, and its maps act on a
 padded copy with one block per graph and as many slots as the batch's
@@ -498,13 +501,15 @@ def score_graphs(
         rows *= _from_slots(count.mT, last)
         pooled = np.add.reduceat(rows, last.pad[:, 0])
     rows = trace.pooled = pooled / trace.sizes
+    if record is None and len(live) == 1:
+        rows = rows[0]  # one untraced graph's head runs on a vector
     for i in range(params.head_layers - 1):
         pre = rows @ params.head_w[i].T + params.head_b[i]
         rows = _block(record, pre, params.head_norm_scale[i], params.head_norm_shift[i])
         if i == 0:
             first = rows  # the skip connection's half
-    trace.final_input = np.concatenate((rows, first), axis=1)
-    live_logits = (trace.final_input @ params.head_w[-1].T + params.head_b[-1])[:, 0]
+    trace.final_input = np.concatenate((rows, first), axis=-1)
+    live_logits = (trace.final_input @ params.head_w[-1].T + params.head_b[-1]).reshape(-1)
     if not np.isfinite(live_logits).all():
         if table is not None:
             score_graphs(params, graphs)  # a traced pass names the layer
@@ -636,11 +641,14 @@ def _block(trace: ForwardTrace | None, pre: np.ndarray, scale: np.ndarray, shift
     the block's intermediates in ``trace``, if given, and returns its output
     rows. Each row's output depends on that row alone. The norm's sums and
     divisions are those of ``act.mean`` and ``act.var``, in the same order,
-    without the second mean pass."""
+    without the second mean pass. ``pre`` may be one row as a vector (a
+    single graph's head on the no-trace path): the statistics then reduce to
+    numpy scalars instead of (1, 1) arrays, with the same sums."""
     act = gelu(pre)
-    size = act.shape[1]
-    act -= np.add.reduce(act, axis=1, keepdims=True) / size
-    inv = 1.0 / np.sqrt(np.add.reduce(act * act, axis=1, keepdims=True) / size + NORM_EPS)
+    size = act.shape[-1]
+    matrix = act.ndim > 1
+    act -= np.add.reduce(act, axis=-1, keepdims=matrix) / size
+    inv = 1.0 / np.sqrt(np.add.reduce(act * act, axis=-1, keepdims=matrix) / size + NORM_EPS)
     act *= inv
     out = act * scale
     out += shift

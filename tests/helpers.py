@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 import random
+import time
 import zlib
 
 import numpy as np
 
-from cmpdp.graph import Graph, build_graph
+from cmpdp.dpsolve import MvcGadgets
+from cmpdp.graph import INDEPENDENT_SET, VERTEX_COVER, Graph, VertexSet, build_graph
 from cmpdp.net import MAGIC, CmpParams, score_graph
 
 
@@ -228,3 +230,90 @@ def relative_mismatch(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
         rel = np.abs(a - b) / denom
     rel = np.where(tiny, 0.0, rel)
     return rel > tol
+
+
+def reference_local_search_mis(g: Graph, time_limit: float, seed: int, max_moves: int | None = None) -> VertexSet:
+    """``classic.local_search_mis`` as first written: the same random
+    maximal start and the same moves, with the list of non-members rebuilt
+    from scratch before every move."""
+    rng = random.Random(seed)
+    order = list(range(g.n))
+    rng.shuffle(order)
+    current: set[int] = set()
+    for v in order:
+        if all(u not in current for u in g.adjacency[v]):
+            current.add(v)
+    best = set(current)
+    deadline = time.monotonic() + max(0.0, time_limit)
+    moves = 0
+    while time.monotonic() < deadline:
+        if max_moves is not None and moves >= max_moves:
+            break
+        outside = [v for v in range(g.n) if v not in current]
+        if not outside:
+            break
+        v = outside[rng.randrange(len(outside))]
+        for u in g.adjacency[v]:
+            current.discard(u)
+        current.add(v)
+        if len(current) > len(best):
+            best = set(current)
+        moves += 1
+    return VertexSet(frozenset(best), INDEPENDENT_SET)
+
+
+def reference_mvc_gadgets(g: Graph, v: int) -> MvcGadgets:
+    """``dpsolve.build_mvc_gadgets`` as first written: both branch graphs
+    filtered from ``g.edges()``, renumbered through an old-to-new dict."""
+    neigh = g.adjacency[v]
+    neigh_set = set(neigh)
+    keep = [u for u in range(g.n) if u != v]
+    old_to_new = {old: new for new, old in enumerate(keep)}
+    base = len(keep)
+    edges0 = [
+        (old_to_new[a], old_to_new[b])
+        for a, b in g.edges()
+        if a != v and b != v and a not in neigh_set and b not in neigh_set
+    ]
+    source0 = list(keep)
+    copy0 = [False] * base
+    for i, u in enumerate(neigh):
+        edges0.append((old_to_new[u], base + i))
+        source0.append(u)
+        copy0.append(True)
+    g0 = build_graph(base + len(neigh), edges0)
+    edges1 = [(a, b) for a, b in g.edges() if a != v and b != v]
+    edges1.append((v, g.n))
+    g1 = build_graph(g.n + 1, edges1)
+    source1 = list(range(g.n)) + [v]
+    copy1 = [False] * g.n + [True]
+    return MvcGadgets(g0, tuple(source0), tuple(copy0), g1, tuple(source1), tuple(copy1))
+
+
+def reference_solve_mvc(g: Graph, comparator, seed: int) -> tuple[VertexSet, list[tuple[Graph, Graph]]]:
+    """``dpsolve.solve_mvc``'s recursion on :func:`reference_mvc_gadgets`,
+    with its bookkeeping remapped index by index: the cover and the
+    (g0, g1) pairs the comparator saw."""
+    rng = random.Random(seed)
+    cur = g
+    source = list(range(g.n))
+    is_copy = [False] * g.n
+    steps = []
+    while cur.max_degree() >= 2:
+        candidates = [v for v in range(cur.n) if cur.degree(v) >= 1]
+        v = candidates[rng.randrange(len(candidates))]
+        gad = reference_mvc_gadgets(cur, v)
+        choice = 1 if comparator(gad.g0, gad.g1) else 0
+        steps.append((gad.g0, gad.g1))
+        if choice == 0:
+            gsel, sel_source, sel_copy = gad.g0, gad.g0_source, gad.g0_is_copy
+        else:
+            gsel, sel_source, sel_copy = gad.g1, gad.g1_source, gad.g1_is_copy
+        source = [source[sel_source[i]] for i in range(gsel.n)]
+        is_copy = [sel_copy[i] or is_copy[sel_source[i]] for i in range(gsel.n)]
+        cur = gsel
+    cover = set()
+    for x, y in cur.edges():
+        picked = min(x, y, key=lambda t: (is_copy[t], source[t], t))
+        cover.add(source[picked])
+    return VertexSet(frozenset(cover), VERTEX_COVER), steps

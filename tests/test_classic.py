@@ -4,6 +4,8 @@ and the complementation identity."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmpdp.classic import (
     EXACT_VERTEX_LIMIT,
@@ -18,7 +20,7 @@ from cmpdp.classic import (
 from cmpdp.generators import GenSpec, generate
 from cmpdp.graph import build_graph
 
-from helpers import brute_force_mis_size, brute_force_mvc_size, random_graph
+from helpers import brute_force_mis_size, brute_force_mvc_size, random_graph, reference_local_search_mis
 
 
 def triangle():
@@ -168,3 +170,16 @@ class TestLocalSearch:
         a = local_search_mis(g, 10.0, seed=5, max_moves=200)
         b = local_search_mis(g, 10.0, seed=5, max_moves=200)
         assert a.members == b.members
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph_seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60),
+           p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), isolated=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1), cap=st.sampled_from([0, 1, 7, 200, 2000, None]))
+    def test_returns_the_rebuilding_reference_set(self, graph_seed, n, p, isolated, seed, cap):
+        # edgeless (p = 0), complete (p = 1) and isolated vertices beside
+        # edges; with no move cap, a zero time limit allows no move at all
+        g = random_graph(random.Random(graph_seed), n, p)
+        g = build_graph(g.n + isolated, g.edges())
+        time_limit = 0.0 if cap is None else 60.0
+        want = reference_local_search_mis(g, time_limit, seed, cap)
+        assert local_search_mis(g, time_limit, seed, cap) == want

@@ -1,6 +1,7 @@
 """Comparator-guided solvers: validity under arbitrary comparators, optimality
 under exact comparators, gadget construction, and roll-out estimates."""
 
+import dataclasses
 import random
 
 import pytest
@@ -26,7 +27,14 @@ from cmpdp.generators import GenSpec, generate
 from cmpdp.graph import GraphError, build_graph, remove_neighbors, remove_vertex, remove_vertices
 from cmpdp.net import init_params, score_graph
 
-from helpers import random_chordal, random_forest, random_graph
+from helpers import (
+    degree_class_graphs,
+    random_chordal,
+    random_forest,
+    random_graph,
+    reference_mvc_gadgets,
+    reference_solve_mvc,
+)
 
 
 def triangle():
@@ -365,6 +373,32 @@ class TestMvcGadgets:
             assert mvc1 == 1 + exact_mvc_size(without_v)
             assert min(mvc0, mvc1) == exact_mvc_size(g)
 
+    def test_fields_equal_the_edge_list_reference(self):
+        # the corpus includes the gadget graphs a recursion goes on to
+        # split, whose pendant copies sit above every original id
+        for g in gadget_corpus():
+            for v in range(g.n):
+                if not g.adjacency[v]:
+                    continue
+                got, want = build_mvc_gadgets(g, v), reference_mvc_gadgets(g, v)
+                for name in (f.name for f in dataclasses.fields(want)):
+                    assert getattr(got, name) == getattr(want, name), (g, v, name)
+
+
+def gadget_corpus() -> list:
+    """Random, forest, chordal, complete and degree-class graphs, plus every
+    branch graph of a random-coin MVC recursion on the random ones."""
+    rng = random.Random(21)
+    corpus = [random_graph(rng, rng.randint(0, 30), rng.random()) for _ in range(40)]
+    corpus += [random_forest(rng, rng.randint(1, 30), 0.8) for _ in range(5)]
+    corpus += [random_chordal(rng, rng.randint(3, 20)) for _ in range(5)]
+    corpus += [random_graph(rng, n, 1.0) for n in (2, 3, 7)]
+    corpus += list(degree_class_graphs().values())
+    for i, g in enumerate(corpus[:8]):
+        _, traj = solve_mvc(g, random_comparator(i), seed=i)
+        corpus += [graph for step in traj.steps for graph in (step.g0, step.g1)]
+    return corpus
+
 
 class TestSolveMvc:
     def test_edgeless_empty_cover(self):
@@ -397,6 +431,15 @@ class TestSolveMvc:
             base = picked[-1] if picked else g
             assert base.max_degree() <= 1
             assert len(vs) == base.m
+
+    def test_matches_a_recursion_on_the_reference_gadgets(self):
+        rng = random.Random(500)
+        for trial in range(60):
+            g = random_graph(rng, rng.randint(0, 30), rng.random())
+            vs, traj = solve_mvc(g, random_comparator(trial), seed=trial)
+            want, steps = reference_solve_mvc(g, random_comparator(trial), seed=trial)
+            assert vs == want
+            assert [(step.g0, step.g1) for step in traj.steps] == steps
 
     def test_oracle_optimality_small(self):
         rng = random.Random(400)

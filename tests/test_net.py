@@ -200,18 +200,31 @@ class TestForward:
 
     @pytest.mark.parametrize("rounds", [1, 2])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
-    @pytest.mark.parametrize("tensor", ["self_w", "neigh_w", "anti_w"])
+    @pytest.mark.parametrize("tensor", ["self_w", "neigh_w", "anti_w", "head_w", "head_b"])
     def test_non_finite_params_detected(self, tensor, value, rounds):
         # round 0 multiplies zero inputs, so only the product 0 * inf = nan
         # carries a bad round-0 weight into the embeddings
         p = init_params(rounds, 2, 2, seed=0)
-        getattr(p, tensor)[0][0, 0] = value
-        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="round 0"):
+        getattr(p, tensor)[0].flat[0] = value
+        layer = "head layer 0" if tensor.startswith("head") else "round 0"
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match=layer) as traced:
             score_graph(p, triangle())
-        # the comparator's forwards read round 0 from a class table and
-        # still name the layer
-        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="round 0"):
+        # the comparator's forwards read round 0 from a class table, run a
+        # single graph's head on a vector, and still name the same layer
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as untraced:
             learned_mis_comparator(p)(triangle(), path3())
+        assert str(untraced.value) == str(traced.value)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("tensor", ["head_w", "head_b"])
+    def test_non_finite_final_layer_named_on_every_path(self, tensor, value):
+        p = init_params(2, 2, 3, seed=0)
+        getattr(p, tensor)[-1].flat[0] = value
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="final head layer") as traced:
+            score_graph(p, triangle())
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as untraced:
+            learned_mis_comparator(p)(triangle(), path3())
+        assert str(untraced.value) == str(traced.value)
 
 
 class TestClassTable:
@@ -242,10 +255,13 @@ class TestClassTable:
         batched, trace = score_graphs(p, corpus, table)
         assert trace is None and np.abs(batched - want).max() <= 1e-12
 
-    def test_single_graphs_score_bit_for_bit_as_traced(self):
-        # so learned decisions, and the graphs a solve scores, do not move
+    @pytest.mark.parametrize("head_layers", [2, 3, 4, 5])
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 4, 5])
+    def test_single_graphs_score_bit_for_bit_as_traced(self, rounds, head_layers):
+        # so learned decisions, and the graphs a solve scores, do not move:
+        # the table path starts at round 2 and runs the head on a vector
         rng = random.Random(12)
-        p = init_params(3, 8, 4, seed=1)
+        p = init_params(rounds, 8, head_layers, seed=1)
         table = ClassTable(p)
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 40), rng.random())

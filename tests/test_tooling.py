@@ -11,7 +11,9 @@ without any error; one checks that every row of an all-method eval passes
 the benchmark's row checks, which see only sets returned by ``run_method``,
 and that its solve timer sees exactly one set of learned roll-outs per
 graph; one checks that its data hooks still find the records
-they count (solver steps, buffer pairs, exact-search nodes, cache misses);
+they count (solver steps, buffer pairs, exact-search nodes, cache misses)
+and that an eval still makes spans for graph builds, MVC gadgets and local
+search;
 one builds every ``RunConfig`` the bench files construct; one checks
 that the package, a three-round forward and a default-geometry mini-batch
 gradient do not load ``scipy.sparse``, whose import alone adds about 2 MB to
@@ -104,6 +106,12 @@ def test_bench_data_hooks_see_positive_counts(monkeypatch):
     for key in ("dpsolve.steps", "selftrain.pairs", "selftrain.capacity",
                 "classic.exact.expanded", "dpsolve.score_cache.misses"):
         assert rec.counts[key] > 0, key
+    # the eval layers time the library's calls through the wrapped names: a
+    # gadget builder that stopped calling cmpdp.dpsolve.build_graph would
+    # empty the build_graph layer while every wrapped name still resolves
+    spans = rec.per_layer()
+    for layer in ("graph.build_graph", "dpsolve.mvc_gadgets", "classic.local_search"):
+        assert spans[layer]["calls"] > 0, layer
 
 
 def bench_run_configs() -> list[tuple[str, dict]]:
