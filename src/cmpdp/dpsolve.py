@@ -62,7 +62,7 @@ _SCORE_CACHE_LIMIT = 200_000
 def _cached_scorer(params: CmpParams) -> Callable[[Graph], float]:
     """Parameters are fixed for the closure's lifetime, so logits can be
     memoized; recursion tails revisit the same small subgraphs constantly.
-    Each miss reads rounds 0 and 1 from the parameters' class table."""
+    Each miss runs the folded inference pass on the parameters' class table."""
     table = class_table(params)
 
     @functools.lru_cache(maxsize=_SCORE_CACHE_LIMIT)
@@ -256,15 +256,14 @@ class MvcGadgets:
     at v, and adds a pendant copy v': the branch where v itself joins.
 
     ``*_source[i]`` is the vertex of the input graph that vertex i stands
-    for; ``*_is_copy[i]`` marks the pendant copies.
+    for. A copy's only edge joins it to the vertex it copies, so both ends of
+    that edge have the same source.
     """
 
     g0: Graph
     g0_source: tuple[int, ...]
-    g0_is_copy: tuple[bool, ...]
     g1: Graph
     g1_source: tuple[int, ...]
-    g1_is_copy: tuple[bool, ...]
 
 
 def build_mvc_gadgets(g: Graph, v: int) -> MvcGadgets:
@@ -293,16 +292,16 @@ def build_mvc_gadgets(g: Graph, v: int) -> MvcGadgets:
     edges1.append((v, g.n))
     g0 = build_graph(base + len(neigh), edges0)
     g1 = build_graph(g.n + 1, edges1)
-    return MvcGadgets(g0, (*range(v), *range(v + 1, g.n), *neigh), (False,) * base + (True,) * len(neigh),
-                      g1, (*range(g.n), v), (False,) * g.n + (True,))
+    return MvcGadgets(g0, (*range(v), *range(v + 1, g.n), *neigh), g1, (*range(g.n), v))
 
 
 def solve_mvc(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, Trajectory]:
     """Recursive MVC via the copy-vertex gadgets.
 
     Base case: when every degree is <= 1, the graph is isolated vertices and
-    isolated edges; the cover takes one endpoint per edge (preferring an
-    original vertex over a copy, then the smaller original id). Otherwise a
+    isolated edges; the cover takes the endpoint with the smaller source of
+    each edge (the smaller id on equal sources, which is a copy's edge and
+    adds the same original vertex either way). Otherwise a
     random vertex of positive degree is picked and the comparator chooses
     between its two gadget branches (0 keeps g0, i.e. the branch whose cover
     is estimated no larger).
@@ -310,7 +309,6 @@ def solve_mvc(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, T
     rng = random.Random(seed)
     cur = g
     source = list(range(g.n))
-    is_copy = [False] * g.n
     traj = Trajectory()
     while cur.max_degree() >= 2:
         candidates = [v for v, row in enumerate(cur.adjacency) if row]
@@ -318,17 +316,11 @@ def solve_mvc(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, T
         gad = build_mvc_gadgets(cur, v)
         choice = 1 if comparator(gad.g0, gad.g1) else 0
         traj.steps.append(RecursionStep(gad.g0, gad.g1))
-        gsel, sel_source, sel_copy = (
-            (gad.g0, gad.g0_source, gad.g0_is_copy)
-            if choice == 0
-            else (gad.g1, gad.g1_source, gad.g1_is_copy)
-        )
+        cur, sel_source = (gad.g0, gad.g0_source) if choice == 0 else (gad.g1, gad.g1_source)
         source = [source[s] for s in sel_source]
-        is_copy = [c or is_copy[s] for s, c in zip(sel_source, sel_copy)]
-        cur = gsel
     cover: set[int] = set()
     for x, y in cur.edges():
-        picked = min(x, y, key=lambda t: (is_copy[t], source[t], t))
+        picked = min(x, y, key=lambda t: (source[t], t))
         cover.add(source[picked])
     return VertexSet(frozenset(cover), VERTEX_COVER), traj
 

@@ -1,23 +1,24 @@
 """The learnable graph scorer behind the comparator.
 
 Architecture: a stack of blocks, each of which takes a matrix of
-pre-activations and applies exact GELU, a layer norm per row and a learned
-scale and shift. The first ``rounds`` blocks are message rounds over
-zero-initialized node embeddings: a vertex's pre-activation concatenates
-linear maps of its own embedding, of the sum over its neighbours and of the
-sum over its strict non-neighbours. The last round is mean-pooled into one
-row of 3w per graph, and the ``head_layers - 1`` hidden head layers are
-blocks on those rows. A final linear layer reads the last hidden output
-concatenated with the first (a skip connection) and gives one logit per
-graph. Every block runs through :func:`_block` forward and
-:func:`_block_grad` backward.
+pre-activations and applies exact GELU (:func:`gelu`, in both passes), a
+layer norm per row and a learned scale and shift. The first ``rounds``
+blocks are message rounds over zero-initialized node embeddings: a vertex's
+pre-activation concatenates linear maps of its own embedding, of the sum
+over its neighbours and of the sum over its strict non-neighbours. The last
+round is mean-pooled into one row of 3w per graph, and the
+``head_layers - 1`` hidden head layers are blocks on those rows. A final
+linear layer reads the last hidden output concatenated with the first (a
+skip connection) and gives one logit per graph. Every block runs through
+:func:`_block` forward and :func:`_block_grad` backward.
 
 Everything is float64 numpy with hand-derived gradients; there is no
 autodiff, and nothing of size n x n is built. The forward pass
 (:func:`score_graphs`) and the backward pass run on a batch of graphs as one
 disjoint union, as graph libraries batch message passing (PyTorch Geometric,
 Fey & Lenssen 2019): a training mini-batch is one forward and one backward,
-and a single graph (:func:`score_graph`) is a batch of one.
+and a single graph scored without a table (:func:`score_graph`) is a batch
+of one.
 
 Each round runs on the rows it really has (the 1-WL colour argument for
 message-passing networks). Round 0's inputs are the zero embeddings, so it
@@ -40,15 +41,15 @@ classes per graph or O(m w) for a later round's edge sums, and O(r w) for
 its block. The backward pass carries the same rows, each holding the total
 gradient of the vertices it stands for.
 
-Inference needs no backward pass. A forward given a :class:`ClassTable`
-records no trace and starts at round 2: round 0's row depends on the
-parameters alone and round 1's row on a vertex's (n, degree) class alone,
-so the table keeps them for one parameter set. The parameters keep their
-table (:func:`class_table`) for every comparator made from them. The
-table's rows are the traced pass's bit for bit, so logits do not change.
-A single graph's head then runs on a vector, not a one-row matrix, so its
-layer-norm statistics are numpy scalars; its sums and products are the
-one-row matrix's, so the logit is still the traced pass's bit for bit.
+Inference needs no backward pass. A single graph scored with its
+parameters' :class:`ClassTable` (:func:`class_table`, kept for every
+comparator made from them) runs the folded pass, :func:`_folded_logit`. It
+records no trace, reads round 2's weight products per (n, degree) class
+from the table's class store, and takes each layer norm's scale and shift
+into the next linear layer, the standard inference-time fold. Its logits
+are the traced pass's to within about 1e-14, not bit for bit, so a learned
+decision may differ from the traced pass's only where the two logits are
+within 1e-12 of each other.
 
 A round's rows are stored packed, graph after graph, and its maps act on a
 padded copy with one block per graph and as many slots as the batch's
@@ -81,13 +82,12 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import expit, ndtr
 
 from .graph import Graph
 
 NORM_EPS = 1e-5
 
-_SQRT1_2 = float(np.sqrt(0.5))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 MAGIC = b"CMPNET1"
@@ -158,14 +158,11 @@ class WeightChecksumError(WeightFileError):
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact (erf-based) GELU, ``(0.5 * x) * (1 + erf(x / sqrt 2))``, built
-    in one array (halving is exact, so the order of the products does not
-    change the result)."""
-    out = x * _SQRT1_2
-    erf(out, out=out)
-    out += 1.0
+    """Exact GELU, ``x * Phi(x)``, with the normal CDF Phi from scipy's
+    ``ndtr``. Both passes use it, and the backward pass reads Phi from the
+    same function."""
+    out = ndtr(x)
     out *= x
-    out *= 0.5
     return out
 
 
@@ -363,12 +360,11 @@ class _BlockAdjacency:
         return self
 
 
-def _batch_maps(graphs: Sequence[Graph], rounds: int) -> tuple[list, list, list, list, np.ndarray, np.ndarray]:
+def _batch_maps(graphs: Sequence[Graph], rounds: int) -> tuple[list, list, list, list]:
     """For each message round of a batch of non-empty graphs: the slots of
     its rows, how many vertices each of its cells stands for, and the maps
     from the previous round's cells to its own input and its neighbour sum
-    (see :class:`ForwardTrace`). Then the graph size and the degree of each
-    packed round-1 row."""
+    (see :class:`ForwardTrace`)."""
     count = len(graphs)
     sizes = [g.n for g in graphs]
     total = sum(sizes)
@@ -384,10 +380,9 @@ def _batch_maps(graphs: Sequence[Graph], rounds: int) -> tuple[list, list, list,
     class_key = per_key.nonzero()[0]
     vertex_class = class_key.searchsorted(key)
     class_slots = vertex_slots = None
-    class_degree, classes, class_size = class_key, class_key.size, np.full(class_key.size, sizes[0])
+    class_degree, classes = class_key, class_key.size
     if count > 1:
         class_graph, class_degree = np.divmod(class_key, span)
-        class_size = np.array(sizes)[class_graph]
         class_slots = _slots(class_graph, np.bincount(class_graph, minlength=count))
         classes = class_slots.pad.shape[1]
         vertex_class = class_slots.pack[vertex_class] % classes  # the class's slot in its graph
@@ -426,7 +421,7 @@ def _batch_maps(graphs: Sequence[Graph], rounds: int) -> tuple[list, list, list,
         row_count += [row_count[2]] * (rounds - 3)
         own_map += [None] * (rounds - 3)
         neigh_map += [_BlockAdjacency(adjacency)] * (rounds - 3)
-    return slots[:rounds], row_count[:rounds], own_map[:rounds], neigh_map[:rounds], class_size, class_degree
+    return slots[:rounds], row_count[:rounds], own_map[:rounds], neigh_map[:rounds]
 
 
 @dataclass
@@ -452,7 +447,7 @@ class ForwardTrace:
     ``row_count[k - 1] @ cells``, less those two. ``row_count[k]`` holds how
     many vertices each cell of round k stands for, zero in spare cells, so
     no spare cell reaches a real one. The backward pass consumes the block
-    lists. A forward with a :class:`ClassTable` records no blocks."""
+    lists."""
 
     live: list[int]                     # batch positions of the non-empty graphs
     sizes: np.ndarray | None = None     # (graphs, 1) their vertex counts
@@ -460,8 +455,6 @@ class ForwardTrace:
     row_count: list[np.ndarray] = field(default_factory=list)  # per round, (graphs, 1, slots); (1, rows) for one graph
     own_map: list = field(default_factory=list)      # per round; None at round 0
     neigh_map: list = field(default_factory=list)    # per round; None at round 0
-    class_size: np.ndarray | None = None    # (classes,) per round-1 row, its graph's vertex count
-    class_degree: np.ndarray | None = None  # (classes,) per round-1 row, its vertices' degree
     pre_act: list[np.ndarray] = field(default_factory=list)    # per block, before GELU
     normed: list[np.ndarray] = field(default_factory=list)     # per block, layer-norm x-hat
     inv_std: list[np.ndarray] = field(default_factory=list)    # per block, (rows, 1)
@@ -470,30 +463,20 @@ class ForwardTrace:
     final_input: np.ndarray | None = None  # (graphs, 2w)
 
 
-def score_graphs(
-    params: CmpParams, graphs: Sequence[Graph], table: ClassTable | None = None
-) -> tuple[np.ndarray, ForwardTrace | None]:
+def score_graphs(params: CmpParams, graphs: Sequence[Graph]) -> tuple[np.ndarray, ForwardTrace]:
     """Logits of a batch of graphs from one forward pass over their disjoint
-    union. An empty graph scores 0 by convention (the recursive solvers never
-    compare empty graphs).
-
-    With a ``table`` of ``params``, the pass reads rounds 0 and 1 from it,
-    records no blocks and returns no trace: inference needs no backward
-    pass."""
+    union, and the trace that the backward pass reads. An empty graph scores
+    0 by convention (the recursive solvers never compare empty graphs)."""
     live = [i for i, g in enumerate(graphs) if g.n]
     trace = ForwardTrace(live)
-    record = trace if table is None else None
     if not live:
-        return np.zeros(len(graphs)), record
-    (trace.slots, trace.row_count, trace.own_map, trace.neigh_map, trace.class_size,
-     trace.class_degree) = _batch_maps(graphs if len(live) == len(graphs) else [graphs[i] for i in live],
-                                       params.rounds)
+        return np.zeros(len(graphs)), trace
+    trace.slots, trace.row_count, trace.own_map, trace.neigh_map = _batch_maps(
+        graphs if len(live) == len(graphs) else [graphs[i] for i in live], params.rounds)
     trace.sizes = trace.row_count[0].reshape(-1, 1)
-    start, rows = 0, np.zeros((1, 3 * params.width))  # round 0's input: the shared zero row of every vertex
-    if table is not None:
-        start, rows = table.start(params, trace) or (start, rows)
-    for k in range(start, params.rounds):
-        rows = _block(record, _round_input(params, trace, k, rows), params.norm_scale[k], params.norm_shift[k])
+    rows = np.zeros((1, 3 * params.width))  # round 0's input: the shared zero row of every vertex
+    for k in range(params.rounds):
+        rows = _block(trace, _round_input(params, trace, k, rows), params.norm_scale[k], params.norm_shift[k])
     last, count = trace.slots[-1], trace.row_count[-1]
     if last is None:
         pooled = (count @ rows).reshape(len(live), -1)
@@ -501,26 +484,21 @@ def score_graphs(
         rows *= _from_slots(count.mT, last)
         pooled = np.add.reduceat(rows, last.pad[:, 0])
     rows = trace.pooled = pooled / trace.sizes
-    if record is None and len(live) == 1:
-        rows = rows[0]  # one untraced graph's head runs on a vector
     for i in range(params.head_layers - 1):
         pre = rows @ params.head_w[i].T + params.head_b[i]
-        rows = _block(record, pre, params.head_norm_scale[i], params.head_norm_shift[i])
+        rows = _block(trace, pre, params.head_norm_scale[i], params.head_norm_shift[i])
         if i == 0:
             first = rows  # the skip connection's half
-    trace.final_input = np.concatenate((rows, first), axis=-1)
+    trace.final_input = np.concatenate((rows, first), axis=1)
     live_logits = (trace.final_input @ params.head_w[-1].T + params.head_b[-1]).reshape(-1)
     if not np.isfinite(live_logits).all():
-        if table is not None:
-            score_graphs(params, graphs)  # a traced pass names the layer
         raise NonFiniteError(_non_finite_layer(trace))
-    if record is not None:
-        trace.out[params.rounds - 1] = None  # only the pooling reads the last round's rows
+    trace.out[params.rounds - 1] = None  # only the pooling reads the last round's rows
     if len(live) == len(graphs):
-        return live_logits, record
+        return live_logits, trace
     logits = np.zeros(len(graphs))
     logits[live] = live_logits
-    return logits, record
+    return logits, trace
 
 
 def _round_input(params: CmpParams, trace: ForwardTrace, k: int, rows: np.ndarray) -> np.ndarray:
@@ -544,74 +522,103 @@ def _round_input(params: CmpParams, trace: ForwardTrace, k: int, rows: np.ndarra
     return np.concatenate((a, b, c), axis=1)
 
 
-def score_graph(
-    params: CmpParams, g: Graph, table: ClassTable | None = None
-) -> tuple[float, ForwardTrace | None]:
-    """Logit for one graph: :func:`score_graphs` on a batch of one."""
-    logits, trace = score_graphs(params, (g,), table)
-    return float(logits[0]), trace
+def score_graph(params: CmpParams, g: Graph, table: ClassTable | None = None) -> tuple[float, ForwardTrace | None]:
+    """Logit for one graph. Without a table it is :func:`score_graphs` on a
+    batch of one, with its trace. With the class table of ``params`` it is
+    the folded inference pass (:func:`_folded_logit`), which keeps no trace
+    and gives the traced logit to within about 1e-14."""
+    if table is None:
+        logits, trace = score_graphs(params, (g,))
+        return float(logits[0]), trace
+    return _folded_logit(params, table, g), None
 
 
-# Largest ClassTable, in float64 values (4 MB): 5,461 classes at width 32,
-# where a solve at n = 110 meets a few hundred.
+# Largest ClassTable store, in float64 values (4 MB): 5,461 classes at width
+# 32, where a solve at n = 110 meets a few hundred.
 TABLE_VALUES = 1 << 19
 
 
 class ClassTable:
-    """Rounds 0 and 1 of the forward pass for one fixed parameter set.
+    """The constants of the folded inference pass for one parameter set.
 
     Round 0's row depends on the parameters alone, and round 1's row for a
     vertex only on its (n, d) class: its graph's size and its degree. The
-    table keeps round 0's row and round 1's row of each class it has met,
-    adding those a forward misses through :func:`_round_input` and one
-    :func:`_block` call. A block's rows do not depend on each other, so they
-    are the traced pass's rows bit for bit. It holds at most ``cap``
-    classes and empties when a forward's new classes would pass that."""
+    class store (``rows``) keeps, per class met, what round 2 reads: the
+    self, neighbour and negated non-neighbour weight products of the class's
+    round-1 row (with two rounds, the last round's class row itself). A
+    missing class goes through :func:`_round_input` and :func:`_block`, and
+    its products are taken on their own, as a vector product, so no row's
+    bits depend on which graphs came first. The store holds at most ``cap``
+    classes and empties when a forward's new classes would pass that. The
+    folds: a layer norm's scale s and shift t become W diag(s) and W t + b
+    of the linear layer that reads it (head layer 0 for the last round). The
+    pass and the traced pass share one :func:`gelu`."""
 
     def __init__(self, params: CmpParams) -> None:
         self.flat = params.flat.copy()  # the values it was built for
-        w3 = 3 * params.width
-        self.cap = max(1, TABLE_VALUES // w3)
-        self.first = _block(None, _round_input(params, None, 0, np.zeros((1, w3))),
-                            params.norm_scale[0], params.norm_shift[0])
+        w, last = params.width, params.rounds - 1
+        self.cap = max(1, TABLE_VALUES // (3 * w))
+        self.first = self.block(params, 0, _round_input(params, None, 0, np.zeros((1, 3 * w))))
         self.index: dict[int, int] = {}  # class key n(n - 1)/2 + d -> its row
-        self.rows = np.empty((0, w3))
+        self.rows = np.empty((0, 3 * w))
+        if params.rounds > 2:
+            self.products = np.concatenate((params.self_w[2], params.neigh_w[2], -params.anti_w[2]))
+            self.bias = np.concatenate((params.self_b[2], params.neigh_b[2], params.anti_b[2]))
+        scale = [params.norm_scale[last], *params.head_norm_scale]
+        shift = [params.norm_shift[last], *params.head_norm_shift]
+        hidden = params.head_layers - 1
+        self.head_w = [params.head_w[i] * scale[i] for i in range(hidden)]
+        self.head_b = [params.head_w[i] @ shift[i] + params.head_b[i] for i in range(hidden)]
+        final_w = params.head_w[-1][0]
+        self.last_w, self.first_w = final_w[:w] * scale[hidden], final_w[w:] * scale[1]
+        self.final_b = float(final_w[:w] @ shift[hidden] + final_w[w:] @ shift[1] + params.head_b[-1][0])
 
     def __len__(self) -> int:
         return len(self.index)
 
-    def start(self, params: CmpParams, trace: ForwardTrace) -> tuple[int, np.ndarray] | None:
-        """The first round that a forward of ``params`` over ``trace``'s
-        batch computes, and the packed rows of the round before it: round
-        1's class rows, or round 0's row in a one-round geometry. None if
-        the batch has more classes than ``cap``."""
-        if params.rounds == 1:
-            return 1, self.first
-        sizes, degrees = trace.class_size, trace.class_degree
-        keys = (sizes * (sizes - 1) // 2 + degrees).tolist()
+    @staticmethod
+    def block(params: CmpParams, k: int, pre: np.ndarray) -> np.ndarray:
+        """Round k's block, without the last round's scale and shift."""
+        if k == params.rounds - 1:
+            return _block(None, pre, 1.0, 0.0)
+        return _block(None, pre, params.norm_scale[k], params.norm_shift[k])
+
+    def class_rows(self, params: CmpParams, n: int, degrees: np.ndarray) -> np.ndarray:
+        """The store rows of the classes (n, d) for d in ``degrees``, adding
+        the ones it misses. A graph with more classes than ``cap`` gets its
+        rows without the table keeping them."""
+        keys = (degrees + n * (n - 1) // 2).tolist()
         at = [self.index.get(key, -1) for key in keys]
         if -1 in at:
-            new = {key: i for i, (key, row) in enumerate(zip(keys, at)) if row < 0}
+            new = [i for i, row in enumerate(at) if row < 0]
             if len(self.index) + len(new) > self.cap:
-                new = dict(zip(keys, range(len(keys))))
-                if len(new) > self.cap:
-                    return None
+                if len(keys) > self.cap:
+                    return self._new_rows(params, n, degrees)
                 self.index.clear()
-            # round 1's maps, as for one graph whose classes each have their own size
-            pick = list(new.values())
-            maps = ForwardTrace([], slots=[None, None], row_count=[sizes[pick, None].astype(np.float64)],
-                                own_map=[None, np.ones((len(pick), 1))],
-                                neigh_map=[None, degrees[pick, None].astype(np.float64)])
-            rows = _block(None, _round_input(params, maps, 1, self.first), params.norm_scale[1], params.norm_shift[1])
-            start, end = len(self.index), len(self.index) + len(pick)
+                new = list(range(len(keys)))
+            rows = self._new_rows(params, n, degrees[new])
+            start, end = len(self.index), len(self.index) + len(new)
             if end > len(self.rows):
                 grown = np.empty((min(self.cap, 2 * end), rows.shape[1]))
                 grown[:start] = self.rows[:start]
                 self.rows = grown
             self.rows[start:end] = rows
-            self.index.update(zip(new, range(start, end)))
+            self.index.update(zip([keys[i] for i in new], range(start, end)))
             at = [self.index[key] for key in keys]
-        return 2, self.rows[at]
+        return self.rows[at]
+
+    def _new_rows(self, params: CmpParams, n: int, degrees: np.ndarray) -> np.ndarray:
+        """Store rows of the classes (n, d) for d in ``degrees``: round 1's
+        rows, with maps as for one graph whose classes each have n vertices,
+        then round 2's products of each row."""
+        count = degrees.size
+        maps = ForwardTrace([], slots=[None, None], row_count=[np.full((count, 1), float(n))],
+                            own_map=[None, np.ones((count, 1))],
+                            neigh_map=[None, degrees[:, None].astype(np.float64)])
+        rows = self.block(params, 1, _round_input(params, maps, 1, self.first))
+        if params.rounds == 2:
+            return rows
+        return np.array([self.products @ row for row in rows])
 
 
 def class_table(params: CmpParams) -> ClassTable:
@@ -621,6 +628,79 @@ def class_table(params: CmpParams) -> ClassTable:
     if params._table is None or not np.array_equal(params._table.flat, params.flat):
         params._table = ClassTable(params)
     return params._table
+
+
+def _folded_logit(params: CmpParams, table: ClassTable, g: Graph) -> float:
+    """One graph's logit through the folds of ``params``' class table, with
+    maps read straight from the adjacency rows and no trace. Round 2's
+    input, one slab per third, is one product of per-vertex class counts
+    with the class store; rounds 3 to R - 2 run as in the traced pass. The
+    last round's rows pool as ``inv @ centred / n``, their normalised mean,
+    and the head runs on vectors. A non-finite logit re-runs the traced
+    pass, which names the layer."""
+    n = g.n
+    if not n:
+        return 0.0
+    w = params.width
+    if params.rounds == 1:
+        # every vertex holds round 0's row. Pooled as n copies of it, as the
+        # traced pass pools it, so that logits keep that pass's rounding.
+        pooled = n * table.first[0] / n
+    else:
+        adjacency = g.adjacency
+        degrees = np.fromiter(map(len, adjacency), np.intp, n)
+        per_degree = np.bincount(degrees)
+        present = per_degree.nonzero()[0]  # the graph's classes, by degree
+        rows = table.class_rows(params, n, present)
+        count = per_degree[present]
+        if params.rounds == 2:
+            pooled = count @ rows / n
+        else:
+            classes = present.size
+            vertex_class = present.searchsorted(degrees)
+            cell = np.arange(0, n * classes, classes)
+            own = cell + vertex_class
+            neigh = cell.repeat(degrees)
+            neigh += vertex_class[np.fromiter(chain.from_iterable(adjacency), np.intp, 2 * g.m)]
+            # (third, vertex, class): how many times a vertex's sum takes a
+            # class's product. Self: its own class. Neighbour: its
+            # neighbours' classes. Non-neighbour (its products negated):
+            # both, less the class sizes.
+            span = n * classes
+            maps = np.bincount(np.concatenate((own, neigh + span, own + 2 * span, neigh + 2 * span)),
+                               minlength=3 * span).reshape(3, n, classes)
+            maps[2] -= count
+            pre = np.empty((n, 3, w))  # written slab by slab, read row by row
+            np.matmul(maps, rows.reshape(classes, 3, w).transpose(1, 0, 2), out=pre.transpose(1, 0, 2))
+            pre = pre.reshape(n, -1)
+            pre += table.bias
+            if params.rounds > 3:  # the middle rounds run on vertex rows
+                trace = ForwardTrace([0], None, *_batch_maps((g,), params.rounds))
+                rows = table.block(params, 2, pre)
+                for k in range(3, params.rounds - 1):
+                    rows = table.block(params, k, _round_input(params, trace, k, rows))
+                pre = _round_input(params, trace, params.rounds - 1, rows)
+            act = gelu(pre)
+            act -= np.add.reduce(act, axis=1, keepdims=True) / (3 * w)
+            inv = (np.add.reduce(act * act, axis=1) / (3 * w) + NORM_EPS) ** -0.5
+            pooled = inv @ act / n
+    pre = table.head_w[0] @ pooled + table.head_b[0]
+    hidden = params.head_layers - 1
+    for i in range(hidden):
+        act = gelu(pre)
+        act -= np.add.reduce(act) / w
+        inv = 1.0 / math.sqrt(act @ act / w + NORM_EPS)
+        if i == 0:
+            first, first_inv = act, inv  # the skip connection's half
+        if i + 1 < hidden:
+            pre = table.head_w[i + 1] @ act
+            pre *= inv
+            pre += table.head_b[i + 1]
+    logit = float(inv * (table.last_w @ act) + first_inv * (table.first_w @ first) + table.final_b)
+    if not math.isfinite(logit):
+        score_graphs(params, (g,))  # a traced pass names the layer
+        raise NonFiniteError("non-finite logit in final head layer")
+    return logit
 
 
 def _non_finite_layer(trace: ForwardTrace) -> str:
@@ -636,19 +716,17 @@ def _non_finite_layer(trace: ForwardTrace) -> str:
     return "non-finite logit in final head layer"
 
 
-def _block(trace: ForwardTrace | None, pre: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+def _block(trace: ForwardTrace | None, pre: np.ndarray, scale: np.ndarray | float,
+           shift: np.ndarray | float) -> np.ndarray:
     """GELU, a layer norm of each row, then ``scale`` and ``shift``; records
     the block's intermediates in ``trace``, if given, and returns its output
     rows. Each row's output depends on that row alone. The norm's sums and
     divisions are those of ``act.mean`` and ``act.var``, in the same order,
-    without the second mean pass. ``pre`` may be one row as a vector (a
-    single graph's head on the no-trace path): the statistics then reduce to
-    numpy scalars instead of (1, 1) arrays, with the same sums."""
+    without the second mean pass."""
     act = gelu(pre)
-    size = act.shape[-1]
-    matrix = act.ndim > 1
-    act -= np.add.reduce(act, axis=-1, keepdims=matrix) / size
-    inv = 1.0 / np.sqrt(np.add.reduce(act * act, axis=-1, keepdims=matrix) / size + NORM_EPS)
+    size = act.shape[1]
+    act -= np.add.reduce(act, axis=1, keepdims=True) / size
+    inv = 1.0 / np.sqrt(np.add.reduce(act * act, axis=1, keepdims=True) / size + NORM_EPS)
     act *= inv
     out = act * scale
     out += shift
@@ -682,10 +760,7 @@ def _block_grad(
     del xhat
     dpre *= trace.inv_std[j]
     x, trace.pre_act[j] = trace.pre_act[j], None
-    cdf = x * _SQRT1_2
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    cdf = ndtr(x)
     cdf *= dpre
     dpre *= x
     x *= x

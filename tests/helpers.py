@@ -15,13 +15,23 @@ import zlib
 
 import numpy as np
 
-from cmpdp.dpsolve import MvcGadgets
+from cmpdp.dpsolve import MvcGadgets, learned_mis_comparator, solve_mis
 from cmpdp.graph import INDEPENDENT_SET, VERTEX_COVER, Graph, VertexSet, build_graph
 from cmpdp.net import MAGIC, CmpParams, score_graph
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return build_graph(n, edges)
+
+
+def sparse_graph(n: int, m: int, seed: int) -> Graph:
+    """Uniform random graph with exactly n vertices and m edges."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
     return build_graph(n, edges)
 
 
@@ -156,6 +166,36 @@ def mixed_pairs() -> list[tuple[Graph, Graph, int]]:
     return [(tri, path, 0), (path, tri, 1), (tri, tri, 1), (empty, star, 1), (star, empty, 0), (star, path, 1)]
 
 
+def decisions_against_the_traced_rule(
+    params: CmpParams, graphs: list[Graph], seeds: list[int], tol: float = 1e-12
+) -> tuple[int, int, list[tuple[Graph, Graph, int, float, float]]]:
+    """Walk ``solve_mis`` on every graph at every seed under the learned
+    comparator of ``params``, and hold each decision it makes against the
+    rule on the traced pass's logits: keep branch 0 unless z1 > z0. Returns
+    the number of decisions, how many had a traced gap |z0 - z1| of at most
+    ``tol``, and the decisions outside that gap that broke the rule, as
+    (g0, g1, choice, z0, z1)."""
+    decisions, near_ties, broken = 0, 0, []
+    for g in graphs:
+        for seed in seeds:
+            compare, seen = learned_mis_comparator(params), []
+
+            def recording(g0: Graph, g1: Graph) -> int:
+                choice = compare(g0, g1)
+                seen.append((g0, g1, choice))
+                return choice
+
+            solve_mis(g, recording, seed)
+            for g0, g1, choice in seen:
+                z0, z1 = score_graph(params, g0)[0], score_graph(params, g1)[0]
+                decisions += 1
+                if abs(z0 - z1) <= tol:
+                    near_ties += 1
+                elif choice != int(z0 < z1):
+                    broken.append((g0, g1, choice, z0, z1))
+    return decisions, near_ties, broken
+
+
 def pairwise_loss_value(params: CmpParams, g: Graph, gp: Graph, label: int) -> float:
     """Loss recomputed from two independent single-graph forward calls (for
     finite differences)."""
@@ -276,24 +316,23 @@ def reference_mvc_gadgets(g: Graph, v: int) -> MvcGadgets:
         if a != v and b != v and a not in neigh_set and b not in neigh_set
     ]
     source0 = list(keep)
-    copy0 = [False] * base
     for i, u in enumerate(neigh):
         edges0.append((old_to_new[u], base + i))
         source0.append(u)
-        copy0.append(True)
     g0 = build_graph(base + len(neigh), edges0)
     edges1 = [(a, b) for a, b in g.edges() if a != v and b != v]
     edges1.append((v, g.n))
     g1 = build_graph(g.n + 1, edges1)
     source1 = list(range(g.n)) + [v]
-    copy1 = [False] * g.n + [True]
-    return MvcGadgets(g0, tuple(source0), tuple(copy0), g1, tuple(source1), tuple(copy1))
+    return MvcGadgets(g0, tuple(source0), g1, tuple(source1))
 
 
 def reference_solve_mvc(g: Graph, comparator, seed: int) -> tuple[VertexSet, list[tuple[Graph, Graph]]]:
-    """``dpsolve.solve_mvc``'s recursion on :func:`reference_mvc_gadgets`,
-    with its bookkeeping remapped index by index: the cover and the
-    (g0, g1) pairs the comparator saw."""
+    """``dpsolve.solve_mvc``'s recursion as first written, on
+    :func:`reference_mvc_gadgets`, with its bookkeeping remapped index by
+    index and a flag on every pendant copy (g0's vertices from n - 1 on,
+    g1's vertex n) and its descendants, which the base case picks last: the
+    cover and the (g0, g1) pairs the comparator saw."""
     rng = random.Random(seed)
     cur = g
     source = list(range(g.n))
@@ -306,9 +345,9 @@ def reference_solve_mvc(g: Graph, comparator, seed: int) -> tuple[VertexSet, lis
         choice = 1 if comparator(gad.g0, gad.g1) else 0
         steps.append((gad.g0, gad.g1))
         if choice == 0:
-            gsel, sel_source, sel_copy = gad.g0, gad.g0_source, gad.g0_is_copy
+            gsel, sel_source, sel_copy = gad.g0, gad.g0_source, [i >= cur.n - 1 for i in range(gad.g0.n)]
         else:
-            gsel, sel_source, sel_copy = gad.g1, gad.g1_source, gad.g1_is_copy
+            gsel, sel_source, sel_copy = gad.g1, gad.g1_source, [i == cur.n for i in range(gad.g1.n)]
         source = [source[sel_source[i]] for i in range(gsel.n)]
         is_copy = [sel_copy[i] or is_copy[sel_source[i]] for i in range(gsel.n)]
         cur = gsel

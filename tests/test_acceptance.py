@@ -38,9 +38,11 @@ from cmpdp.selftrain import metrics_to_csv, train
 
 from helpers import (
     brute_force_mis_size,
+    decisions_against_the_traced_rule,
     finite_difference_grads,
     random_graph,
     relative_mismatch,
+    sparse_graph,
 )
 from test_lpformat import parse_lp
 
@@ -225,6 +227,19 @@ def test_learned_comparator_beats_the_coin_and_greedy(er_run):
     assert mis_mean[METHOD_CMP] >= mis_mean[METHOD_RANDOM] + 0.05
     assert mvc_mean[METHOD_CMP] <= mvc_mean[METHOD_GREEDY]
     assert mvc_mean[METHOD_CMP] <= mvc_mean[METHOD_RANDOM] - 0.05
+
+
+def test_learned_decisions_follow_the_traced_logits(er_run):
+    """Learned comparators score with the folded pass, whose logits may
+    differ from the traced pass's in their last bits. A decision may then
+    leave the traced rule only where the traced gap is at most 1e-12, on
+    held-out graphs of the training sizes and past them."""
+    params = er_run[0]
+    graphs = er_graphs(40, 15, 35, 0.15, seed=84) + [sparse_graph(55, 82, seed) for seed in range(86, 96)]
+    decisions, near_ties, broken = decisions_against_the_traced_rule(params, graphs, seeds=[0, 1, 2])
+    print(f"    decisions={decisions} near_ties={near_ties}")
+    assert decisions >= 1000
+    assert broken == []
 
 
 def test_criterion_09_special_family(special_run):

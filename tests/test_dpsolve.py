@@ -328,7 +328,7 @@ class TestMvcGadgets:
         g = build_graph(2, [(0, 1)])
         gad = build_mvc_gadgets(g, 0)
         assert gad.g0.n == 2 and gad.g0.edges() == [(0, 1)]
-        assert gad.g0_source == (1, 1) and gad.g0_is_copy == (False, True)
+        assert gad.g0_source == (1, 1)
         assert gad.g1.n == 3 and gad.g1.edges() == [(0, 2)]
         assert gad.g1_source == (0, 1, 0)
         assert gad.g1.degree(1) == 0
@@ -338,10 +338,10 @@ class TestMvcGadgets:
         gad = build_mvc_gadgets(g, 0)
         assert gad.g0.n == 6 and gad.g0.m == 3
         assert all(gad.g0.degree(v) == 1 for v in range(6))
-        # each leaf is paired with its own copy
+        # each leaf is paired with its own copy, numbered after the kept vertices
         for u, v in gad.g0.edges():
             assert gad.g0_source[u] == gad.g0_source[v]
-            assert gad.g0_is_copy[u] != gad.g0_is_copy[v]
+            assert u < 3 <= v
 
     def test_path_endpoint(self):
         g = path3()
@@ -438,6 +438,18 @@ class TestSolveMvc:
             g = random_graph(rng, rng.randint(0, 30), rng.random())
             vs, traj = solve_mvc(g, random_comparator(trial), seed=trial)
             want, steps = reference_solve_mvc(g, random_comparator(trial), seed=trial)
+            assert vs == want
+            assert [(step.g0, step.g1) for step in traj.steps] == steps
+
+    def test_oracle_covers_match_the_reference_recursion(self):
+        # the reference still prefers originals over pendant copies; the
+        # oracle takes the branches a coin rarely does
+        rng = random.Random(501)
+        comparator = oracle_mvc_comparator()
+        for trial in range(40):
+            g = random_graph(rng, rng.randint(0, 14), rng.random())
+            vs, traj = solve_mvc(g, comparator, seed=trial)
+            want, steps = reference_solve_mvc(g, comparator, seed=trial)
             assert vs == want
             assert [(step.g0, step.g1) for step in traj.steps] == steps
 

@@ -14,6 +14,8 @@ graph; one checks that its data hooks still find the records
 they count (solver steps, buffer pairs, exact-search nodes, cache misses)
 and that an eval still makes spans for graph builds, MVC gadgets and local
 search;
+one checks that a warm learned decision runs only the folded inference
+pass, which the timed solves are meant to measure;
 one builds every ``RunConfig`` the bench files construct; one checks
 that the package, a three-round forward and a default-geometry mini-batch
 gradient do not load ``scipy.sparse``, whose import alone adds about 2 MB to
@@ -32,9 +34,10 @@ from pathlib import Path
 
 import pytest
 
-from cmpdp import evaluate, selftrain
+from cmpdp import dpsolve, evaluate, net, selftrain
 from cmpdp.config import RunConfig
 from cmpdp.generators import GenSpec, generate
+from cmpdp.graph import build_graph, relabel
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -130,6 +133,26 @@ def bench_run_configs() -> list[tuple[str, dict]]:
                         kwargs[kw.arg] = defaults.get(kw.arg)
                 calls.append((f"{path.name}:{node.lineno}", kwargs))
     return calls
+
+
+def test_a_warm_learned_decision_runs_only_the_folded_pass(monkeypatch):
+    params = net.init_params(3, 32, 4, seed=0)
+    compare = dpsolve.learned_mis_comparator(params)
+    g0 = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6)])
+    g1 = build_graph(6, [(0, 1), (0, 2), (2, 3), (3, 4)])
+    compare(g0, g1)  # fills the class table
+    # the same degree classes, but new graphs to the score cache
+    h0, h1 = relabel(g0, [6, 5, 4, 3, 2, 1, 0]), relabel(g1, [5, 4, 3, 2, 1, 0])
+    assert (h0, h1) != (g0, g1)
+    calls = {"score_graph": 0, "score_graphs": 0, "_block": 0}
+    for module, name in ((dpsolve, "score_graph"), (net, "score_graphs"), (net, "_block")):
+        def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    compare(h0, h1)
+    # two forwards, neither a traced pass nor a block of one
+    assert calls == {"score_graph": 2, "score_graphs": 0, "_block": 0}
 
 
 def test_every_bench_run_config_builds():
