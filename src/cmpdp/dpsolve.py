@@ -108,20 +108,13 @@ def random_comparator(seed: int) -> Comparator:
     return compare
 
 
-@dataclass(frozen=True)
-class RecursionStep:
-    """One branching decision: the two candidate subgraphs the comparator
-    chose between, in the order it saw them."""
-
-    g0: Graph
-    g1: Graph
-
-
 @dataclass
 class Trajectory:
-    """A solve's branching decisions in order; harvest samples its pairs from them."""
+    """A solve's branching decisions in order, each the pair ``(g0, g1)`` of
+    candidate subgraphs in the order the comparator saw them; harvest
+    samples its pairs from them."""
 
-    steps: list[RecursionStep] = field(default_factory=list)
+    steps: list[tuple[Graph, Graph]] = field(default_factory=list)
 
 
 def solve_mis(
@@ -168,7 +161,7 @@ def solve_mis(
         g0, kept0 = remove_vertex(cur, v)
         g1, kept1 = remove_neighbors(cur, v)
         choice = 1 if comparator(g0, g1) else 0
-        traj.steps.append(RecursionStep(g0, g1))
+        traj.steps.append((g0, g1))
         cur, kept = (g0, kept0) if choice == 0 else (g1, kept1)
         to_original = [to_original[old] for old in kept]
     return VertexSet(frozenset(to_original), INDEPENDENT_SET), traj
@@ -315,7 +308,7 @@ def solve_mvc(g: Graph, comparator: Comparator, seed: int) -> tuple[VertexSet, T
         v = candidates[rng.randrange(len(candidates))]
         gad = build_mvc_gadgets(cur, v)
         choice = 1 if comparator(gad.g0, gad.g1) else 0
-        traj.steps.append(RecursionStep(gad.g0, gad.g1))
+        traj.steps.append((gad.g0, gad.g1))
         cur, sel_source = (gad.g0, gad.g0_source) if choice == 0 else (gad.g1, gad.g1_source)
         source = [source[s] for s in sel_source]
     cover: set[int] = set()

@@ -55,10 +55,8 @@ A round's rows are stored packed, graph after graph, and its maps act on a
 padded copy with one block per graph and as many slots as the batch's
 largest graph needs (:class:`_Slots`), so each map is one stacked matrix
 product. Spare cells count zero vertices, so they never reach a real row.
-A single graph needs no padding: its cells are its rows, so a batch of one
-pays for no gathers. The backward pass consumes the forward trace,
-computing in its storage, so that training on a batch holds about as many
-rows as its forward pass.
+The backward pass consumes the forward trace, computing in its storage, so
+that training on a batch holds about as many rows as its forward pass.
 
 Parameters, gradients and Adam moments are each one float64 vector in
 :func:`param_layout` order (``CmpParams.flat``), which is also the order of
@@ -309,8 +307,8 @@ def init_params(rounds: int, width: int, head_layers: int, seed: int) -> CmpPara
 class _Slots(NamedTuple):
     """Where one round's packed rows sit in its padded layout: an array of
     (graph, slot) cells, with as many slots per graph as the batch's largest
-    graph has rows. A round without slots has rows that are their own cells:
-    one graph's rows, or round 0's one row, which every graph shares."""
+    graph has rows. Round 0 has no slots: its one row is shared by every
+    graph."""
 
     pad: np.ndarray   # (graphs, slots): the packed row each cell reads; spare cells repeat a real row
     pack: np.ndarray  # (rows,): the flat cell of each packed row
@@ -327,18 +325,16 @@ def _slots(group: np.ndarray, per_group: np.ndarray) -> _Slots:
 
 def _from_slots(cells: np.ndarray, slots: _Slots | None) -> np.ndarray:
     """Padded (graphs, slots, d) back to packed (rows, d), dropping the
-    spare cells. Without slots, cells that still have a graph axis are
-    summed over it: the gradient every graph sends round 0's shared row."""
-    if slots is not None:
-        return cells.reshape(-1, cells.shape[-1])[slots.pack]
-    return cells if cells.ndim == 2 else cells.sum(axis=0)
+    spare cells. Without slots, the cells are summed over the graph axis:
+    the gradient every graph sends round 0's shared row."""
+    if slots is None:
+        return cells.sum(axis=0)
+    return cells.reshape(-1, cells.shape[-1])[slots.pack]
 
 
-def _to_slots(rows: np.ndarray, slots: _Slots | None) -> np.ndarray:
+def _to_slots(rows: np.ndarray, slots: _Slots) -> np.ndarray:
     """Packed (rows, ...) to padded (graphs, slots, ...) with zeros in the
     spare cells: the transpose of :func:`_from_slots`."""
-    if slots is None:
-        return rows
     cells = np.zeros((slots.pad.size,) + rows.shape[1:])
     cells[slots.pack] = rows
     return cells.reshape(slots.pad.shape + rows.shape[1:])
@@ -369,36 +365,27 @@ def _batch_maps(graphs: Sequence[Graph], rounds: int) -> tuple[list, list, list,
     sizes = [g.n for g in graphs]
     total = sum(sizes)
     degrees = np.fromiter(chain.from_iterable([map(len, g.adjacency) for g in graphs]), np.intp, total)
-    # a class is a (graph, degree) pair, numbered graph by graph. A single
-    # graph's cells are its packed rows, so it needs no slots.
-    key = degrees
-    if count > 1:
-        span = int(degrees.max()) + 1
-        vertex_graph = np.repeat(np.arange(count), sizes)
-        key = vertex_graph * span + degrees
+    # a class is a (graph, degree) pair, numbered graph by graph
+    span = int(degrees.max()) + 1
+    vertex_graph = np.repeat(np.arange(count), sizes)
+    key = vertex_graph * span + degrees
     per_key = np.bincount(key)
     class_key = per_key.nonzero()[0]
-    vertex_class = class_key.searchsorted(key)
-    class_slots = vertex_slots = None
-    class_degree, classes = class_key, class_key.size
-    if count > 1:
-        class_graph, class_degree = np.divmod(class_key, span)
-        class_slots = _slots(class_graph, np.bincount(class_graph, minlength=count))
-        classes = class_slots.pad.shape[1]
-        vertex_class = class_slots.pack[vertex_class] % classes  # the class's slot in its graph
+    class_graph, class_degree = np.divmod(class_key, span)
+    class_slots = _slots(class_graph, np.bincount(class_graph, minlength=count))
+    classes = class_slots.pad.shape[1]
+    vertex_class = class_slots.pack[class_key.searchsorted(key)] % classes  # the class's slot in its graph
     slots = [None, class_slots]
-    row_count = [np.array(sizes, np.float64).reshape((count, 1, 1) if count > 1 else (1, 1)),
+    row_count = [np.array(sizes, np.float64).reshape(count, 1, 1),
                  _to_slots(per_key[class_key].astype(np.float64), class_slots)[..., None, :]]
     neigh_map = [None, _to_slots(class_degree.astype(np.float64), class_slots)[..., None]]
     own_map = [None, np.ones(neigh_map[1].shape)]
     if rounds > 2:
         cols = np.fromiter(chain.from_iterable(chain.from_iterable([g.adjacency for g in graphs])), np.intp,
                            2 * sum([g.m for g in graphs]))
-        cell, width = np.arange(total), total
-        if count > 1:
-            vertex_slots = _slots(vertex_graph, np.array(sizes))
-            cols += np.repeat(vertex_slots.pad[vertex_graph, 0], degrees)
-            cell, width = vertex_slots.pack, vertex_slots.pad.shape[1]
+        vertex_slots = _slots(vertex_graph, np.array(sizes))
+        cols += np.repeat(vertex_slots.pad[vertex_graph, 0], degrees)
+        cell, width = vertex_slots.pack, vertex_slots.pad.shape[1]
         # entry (u, c): how many of u's neighbours are in class slot c of u's graph
         entry = np.repeat(cell * classes, degrees)
         entry += vertex_class[cols]
@@ -452,7 +439,7 @@ class ForwardTrace:
     live: list[int]                     # batch positions of the non-empty graphs
     sizes: np.ndarray | None = None     # (graphs, 1) their vertex counts
     slots: list = field(default_factory=list)       # per round; None at round 0
-    row_count: list[np.ndarray] = field(default_factory=list)  # per round, (graphs, 1, slots); (1, rows) for one graph
+    row_count: list[np.ndarray] = field(default_factory=list)  # per round, (graphs, 1, slots)
     own_map: list = field(default_factory=list)      # per round; None at round 0
     neigh_map: list = field(default_factory=list)    # per round; None at round 0
     pre_act: list[np.ndarray] = field(default_factory=list)    # per block, before GELU
@@ -609,12 +596,13 @@ class ClassTable:
 
     def _new_rows(self, params: CmpParams, n: int, degrees: np.ndarray) -> np.ndarray:
         """Store rows of the classes (n, d) for d in ``degrees``: round 1's
-        rows, with maps as for one graph whose classes each have n vertices,
+        rows, with maps as for a batch of one-class graphs of n vertices,
         then round 2's products of each row."""
         count = degrees.size
-        maps = ForwardTrace([], slots=[None, None], row_count=[np.full((count, 1), float(n))],
-                            own_map=[None, np.ones((count, 1))],
-                            neigh_map=[None, degrees[:, None].astype(np.float64)])
+        rank = np.arange(count)
+        maps = ForwardTrace([], slots=[None, _Slots(rank[:, None], rank)],
+                            row_count=[np.full((count, 1, 1), float(n))], own_map=[None, np.ones((count, 1, 1))],
+                            neigh_map=[None, degrees[:, None, None].astype(np.float64)])
         rows = self.block(params, 1, _round_input(params, maps, 1, self.first))
         if params.rounds == 2:
             return rows

@@ -128,12 +128,12 @@ def _harvest(
     estimate = mixed_estimate if cfg.mixed else rollout_estimate
     samples = []
     for idx in indices:
-        step = traj.steps[idx]
-        est0 = estimate(step.g0, comparator, cfg.num_rollouts, derive_seed(seed, "est", idx, 0))
-        est1 = estimate(step.g1, comparator, cfg.num_rollouts, derive_seed(seed, "est", idx, 1))
+        g0, g1 = traj.steps[idx]
+        est0 = estimate(g0, comparator, cfg.num_rollouts, derive_seed(seed, "est", idx, 0))
+        est1 = estimate(g1, comparator, cfg.num_rollouts, derive_seed(seed, "est", idx, 1))
         if est0 == est1:
             continue
-        samples.append(PairSample(step.g0, step.g1, int(est0 < est1), est0, est1))
+        samples.append(PairSample(g0, g1, int(est0 < est1), est0, est1))
     return samples, count
 
 

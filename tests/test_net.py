@@ -304,20 +304,30 @@ class TestMemory:
     GRAPHS = {"sparse": lambda: sparse_graph(10_000, 15_000, seed=3),
               "star": lambda: build_graph(10_000, [(0, v) for v in range(1, 10_000)])}
 
-    @pytest.mark.parametrize("geometry", [(3, 32, 4), (4, 32, 4)])
-    @pytest.mark.parametrize("shape", ["sparse", "star"])
-    def test_forward_peak_stays_linear_in_the_graph(self, geometry, shape):
+    def check_peak(self, geometry, shape, folded: bool) -> None:
         import tracemalloc
 
         g = self.GRAPHS[shape]()
         p = init_params(*geometry, seed=0)
+        table = ClassTable(p) if folded else None
         tracemalloc.start()
         try:
-            score_graph(p, g)
+            score_graph(p, g, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 200e6, f"{peak / 1e6:.0f} MB"
+
+    @pytest.mark.parametrize("geometry", [(3, 32, 4), (4, 32, 4)])
+    @pytest.mark.parametrize("shape", ["sparse", "star"])
+    def test_forward_peak_stays_linear_in_the_graph(self, geometry, shape):
+        self.check_peak(geometry, shape, folded=False)
+
+    @pytest.mark.parametrize("geometry", [(3, 32, 4), (4, 32, 4)])
+    @pytest.mark.parametrize("shape", ["sparse", "star"])
+    def test_folded_peak_stays_linear_in_the_graph(self, geometry, shape):
+        # the pass that solves run, from a class table that starts empty
+        self.check_peak(geometry, shape, folded=True)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")

@@ -300,10 +300,12 @@ class TestTrain:
         assert all("capacity 12" in line for line in lines)
 
     def test_roll_outs_take_reductions_without_a_forward(self, monkeypatch):
-        # forward passes of the learned comparator over fixed tiny runs. At
-        # p=0.15: 453 before roll-outs took degree-1 vertices for free, 114
-        # after, with or without the domination rule. At p=0.35: 195 with the
-        # degree-1 rule alone, 147 with the domination rule too
+        # forward passes of the learned comparator over fixed tiny runs, in a
+        # two-round geometry: with one round every graph gets the same logit
+        # up to rounding, so each decision is a tie and the count depends on
+        # which pass scored it. With no reductions: 264 at p=0.15, 243 at
+        # p=0.35. With the degree-1 rule alone: 64 and 104. With the
+        # domination rule too: 64 and 76
         calls = []
         real = dpsolve.score_graph
 
@@ -312,9 +314,9 @@ class TestTrain:
             return real(params, g, table)
 
         monkeypatch.setattr(dpsolve, "score_graph", counting)
-        for p, bound in ((0.15, 453 // 2), (0.35, 170)):
+        for p, bound in ((0.15, 264 // 2), (0.35, 90)):
             calls.clear()
-            train(er_dataset(6, 15, p, seed=0), small_cfg(mixed=True))
+            train(er_dataset(6, 15, p, seed=0), small_cfg(mixed=True, rounds=2))
             assert 0 < len(calls) <= bound, p
 
     def test_one_gradient_call_per_adam_step(self, monkeypatch):
