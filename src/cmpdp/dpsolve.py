@@ -17,6 +17,8 @@ degree-1 vertex, then every vertex u with a neighbour v whose closed
 neighbourhood lies inside u's (the domination rule). Both reductions are
 exact, because swapping u for v in a maximum independent set gives another
 (see ``solve_mis``), and they spare most of the estimates' forward passes.
+A solve draws no random stream before its first decision and builds no graph
+once the reductions have cleared every edge, which most roll-outs reach first.
 Evaluation solves never reduce, so their quality stays the comparator's own
 and no reduction is credited to the learned part.
 """
@@ -141,9 +143,10 @@ def solve_mis(
     independent set, which excludes u. A pendant's neighbour is the case
     N[v] = {v, u}. A domination run ends with no dominated vertex, hence no
     degree-1 vertex, so neither run needs repeating before the comparator is
-    asked.
+    asked. Runs that leave no edge end the solve without a graph edit, and
+    the stream of vertex draws is seeded at the first draw, not on entry.
     """
-    rng = random.Random(seed)
+    rng = None  # seeded at the first draw: a solve that never draws needs none
     cur = g
     to_original = list(range(g.n))
     traj = Trajectory()
@@ -151,11 +154,13 @@ def solve_mis(
         if reduce:
             drop, dead, degree = _pendant_neighbours(cur)
             drop += _dominated_vertices(cur, dead, degree)
+            if not any(degree):  # no edge is left: the survivors are the set
+                to_original = [x for x, gone in zip(to_original, dead) if not gone]
+                break
             if drop:
                 cur, kept = remove_vertices(cur, drop)
                 to_original = [to_original[old] for old in kept]
-            if cur.m == 0:
-                break
+        rng = rng or random.Random(seed)
         candidates = [v for v, row in enumerate(cur.adjacency) if row]
         v = candidates[rng.randrange(len(candidates))]
         g0, kept0 = remove_vertex(cur, v)
@@ -205,7 +210,7 @@ def _dominated_vertices(g: Graph, dead: list[bool], degree: list[int]) -> list[i
     so only they and their neighbours can become dominated, and only they go
     back on the worklist. A vertex leaves the worklist only to be checked, so
     every dominated vertex is on it, and the first dominated vertex popped is
-    the graph's lowest. Marks the deleted vertices in ``dead``."""
+    the graph's lowest. Updates ``dead`` and ``degree`` like the pendant run."""
     if not any(degree):
         return []  # no edge is left
     queued = list(map(bool, degree))
@@ -227,10 +232,12 @@ def _dominated_vertices(g: Graph, dead: list[bool], degree: list[int]) -> list[i
         else:
             continue  # no neighbour's closed neighbourhood lies inside u's
         dead[u] = True
+        degree[u] = 0
         drop.append(u)
         for x in adjacency[u]:
             if dead[x]:
                 continue
+            degree[x] -= 1
             closed[x] ^= bit[u]
             for y in (x, *adjacency[x]):
                 if not (dead[y] or queued[y]):

@@ -1,7 +1,7 @@
 """The learnable graph scorer behind the comparator.
 
 Architecture: a stack of blocks, each of which takes a matrix of
-pre-activations and applies exact GELU (:func:`gelu`, in both passes), a
+pre-activations and applies exact GELU (``x * Phi(x)``, in both passes), a
 layer norm per row and a learned scale and shift. The first ``rounds``
 blocks are message rounds over zero-initialized node embeddings: a vertex's
 pre-activation concatenates linear maps of its own embedding, of the sum
@@ -157,8 +157,8 @@ class WeightChecksumError(WeightFileError):
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact GELU, ``x * Phi(x)``, with the normal CDF Phi from scipy's
-    ``ndtr``. Both passes use it, and the backward pass reads Phi from the
-    same function."""
+    ``ndtr``. The untraced passes use it; a traced block takes the same
+    product from the Phi it keeps for the backward pass (:func:`_block`)."""
     out = ndtr(x)
     out *= x
     return out
@@ -340,13 +340,12 @@ def _to_slots(rows: np.ndarray, slots: _Slots) -> np.ndarray:
     return cells.reshape(slots.pad.shape + rows.shape[1:])
 
 
-class _BlockAdjacency:
+class _BlockAdjacency(NamedTuple):
     """The batch's adjacency over its padded vertex cells: a block-diagonal
     sparse matrix, one block per graph, applied to (graphs, slots, w)
     stacks. It is symmetric, so it is its own transpose."""
 
-    def __init__(self, matrix) -> None:
-        self.matrix = matrix
+    matrix: object  # a scipy.sparse csr_array
 
     def __matmul__(self, cells: np.ndarray) -> np.ndarray:
         return (self.matrix @ cells.reshape(-1, cells.shape[-1])).reshape(cells.shape)
@@ -363,12 +362,10 @@ def _batch_maps(graphs: Sequence[Graph], rounds: int) -> tuple[list, list, list,
     (see :class:`ForwardTrace`)."""
     count = len(graphs)
     sizes = [g.n for g in graphs]
-    total = sum(sizes)
-    degrees = np.fromiter(chain.from_iterable([map(len, g.adjacency) for g in graphs]), np.intp, total)
+    degrees = np.fromiter(chain.from_iterable([map(len, g.adjacency) for g in graphs]), np.intp, sum(sizes))
     # a class is a (graph, degree) pair, numbered graph by graph
     span = int(degrees.max()) + 1
-    vertex_graph = np.repeat(np.arange(count), sizes)
-    key = vertex_graph * span + degrees
+    key = np.repeat(np.arange(count), sizes) * span + degrees
     per_key = np.bincount(key)
     class_key = per_key.nonzero()[0]
     class_graph, class_degree = np.divmod(class_key, span)
@@ -381,34 +378,40 @@ def _batch_maps(graphs: Sequence[Graph], rounds: int) -> tuple[list, list, list,
     neigh_map = [None, _to_slots(class_degree.astype(np.float64), class_slots)[..., None]]
     own_map = [None, np.ones(neigh_map[1].shape)]
     if rounds > 2:
-        cols = np.fromiter(chain.from_iterable(chain.from_iterable([g.adjacency for g in graphs])), np.intp,
-                           2 * sum([g.m for g in graphs]))
-        vertex_slots = _slots(vertex_graph, np.array(sizes))
-        cols += np.repeat(vertex_slots.pad[vertex_graph, 0], degrees)
-        cell, width = vertex_slots.pack, vertex_slots.pad.shape[1]
+        vertex_slots, ones, adjacency, cols = _vertex_maps(graphs, degrees, rounds)
         # entry (u, c): how many of u's neighbours are in class slot c of u's graph
-        entry = np.repeat(cell * classes, degrees)
-        entry += vertex_class[cols]
-        slots.append(vertex_slots)
-        row_count.append(_to_slots(np.ones(total), vertex_slots)[..., None, :])
-        own_map.append(_to_slots(np.eye(classes)[vertex_class], vertex_slots))
-        neigh_map.append(np.bincount(entry, minlength=count * width * classes)
-                         .reshape(own_map[2].shape).astype(np.float64))
-    if rounds > 3:
-        # imported here, not with the module: loading scipy.sparse adds about
-        # 2 MB (3%) to the peak memory of a solve or training run, and only
-        # geometries with 4 or more rounds get this far
-        from scipy.sparse import csr_array
-
-        cell_degree = np.zeros(count * width, np.intp)
-        cell_degree[cell] = degrees
-        indptr = np.concatenate(([0], np.cumsum(cell_degree)))
-        adjacency = csr_array((np.ones(cols.size), cell[cols], indptr), shape=(cell_degree.size,) * 2)
-        slots += [vertex_slots] * (rounds - 3)
-        row_count += [row_count[2]] * (rounds - 3)
-        own_map += [None] * (rounds - 3)
-        neigh_map += [_BlockAdjacency(adjacency)] * (rounds - 3)
+        entry = np.repeat(vertex_slots.pack * classes, degrees) + vertex_class[cols]
+        own = _to_slots(np.eye(classes)[vertex_class], vertex_slots)
+        slots += [vertex_slots] * (rounds - 2)
+        row_count += [ones] * (rounds - 2)
+        own_map += [own] + [None] * (rounds - 3)
+        neigh_map += [np.bincount(entry, minlength=own.size).reshape(own.shape).astype(np.float64)]
+        neigh_map += [adjacency] * (rounds - 3)
     return slots[:rounds], row_count[:rounds], own_map[:rounds], neigh_map[:rounds]
+
+
+def _vertex_maps(graphs: Sequence[Graph], degrees: np.ndarray, rounds: int) -> tuple:
+    """The vertex-level maps of a batch of non-empty graphs with packed
+    ``degrees``, which rounds 2 on read: the vertex slots, their vertex
+    counts (0 in spare cells), the block adjacency of rounds 3 on (None
+    below 4 rounds) and the packed row of each adjacency entry."""
+    sizes = np.array([g.n for g in graphs])
+    vertex_graph = np.repeat(np.arange(len(graphs)), sizes)
+    vertex_slots = _slots(vertex_graph, sizes)
+    cols = np.fromiter(chain.from_iterable(chain.from_iterable([g.adjacency for g in graphs])), np.intp,
+                       int(degrees.sum()))
+    cols += np.repeat(vertex_slots.pad[vertex_graph, 0], degrees)
+    ones = _to_slots(np.ones(degrees.size), vertex_slots)[..., None, :]
+    if rounds < 4:
+        return vertex_slots, ones, None, cols
+    # imported here: loading scipy.sparse adds about 2 MB (3%) to the peak
+    # memory of a solve or training run, and only 4 or more rounds need it
+    from scipy.sparse import csr_array
+
+    indptr = np.zeros(ones.size + 1, np.intp)  # each cell's degree, then summed
+    indptr[vertex_slots.pack + 1] = degrees
+    adjacency = csr_array((np.ones(cols.size), vertex_slots.pack[cols], indptr.cumsum()), shape=(ones.size,) * 2)
+    return vertex_slots, ones, _BlockAdjacency(adjacency), cols
 
 
 @dataclass
@@ -417,13 +420,14 @@ class ForwardTrace:
     backward pass.
 
     The batch is the disjoint union of its non-empty graphs, listed in
-    ``live``. The block lists (``pre_act``, ``normed``, ``inv_std``,
+    ``live``. The block lists (``pre_act``, ``cdf``, ``normed``, ``inv_std``,
     ``out``) hold one entry per block: the message rounds first, then the
-    hidden head layers. Each entry holds the block's packed rows, graph by
-    graph. A round computes one row per set of vertices that must share its
-    output: round 0 one row for every vertex of every graph, round 1 one row
-    per (graph, degree) class, later rounds one row per vertex. A head layer
-    has one row per graph.
+    hidden head layers; ``cdf`` is GELU's Phi(pre_act), kept for the backward
+    pass. Each entry holds the block's packed rows, graph by graph. A round
+    computes one row per set of vertices that must share its output: round 0
+    one row for every vertex of every graph, round 1 one row per (graph,
+    degree) class, later rounds one row per vertex. A head layer has one row
+    per graph.
 
     Round k >= 1 reads round k-1's rows, after its weights, in a padded
     layout of (graph, slot) cells (``slots[k - 1]``; see :class:`_Slots`),
@@ -443,6 +447,7 @@ class ForwardTrace:
     own_map: list = field(default_factory=list)      # per round; None at round 0
     neigh_map: list = field(default_factory=list)    # per round; None at round 0
     pre_act: list[np.ndarray] = field(default_factory=list)    # per block, before GELU
+    cdf: list[np.ndarray] = field(default_factory=list)        # per block, GELU's Phi(pre_act)
     normed: list[np.ndarray] = field(default_factory=list)     # per block, layer-norm x-hat
     inv_std: list[np.ndarray] = field(default_factory=list)    # per block, (rows, 1)
     out: list = field(default_factory=list)        # per block, after scale and shift; None for the last round
@@ -539,7 +544,7 @@ class ClassTable:
     classes and empties when a forward's new classes would pass that. The
     folds: a layer norm's scale s and shift t become W diag(s) and W t + b
     of the linear layer that reads it (head layer 0 for the last round). The
-    pass and the traced pass share one :func:`gelu`."""
+    pass and the traced pass take GELU from one ``ndtr``, bit for bit."""
 
     def __init__(self, params: CmpParams) -> None:
         self.flat = params.flat.copy()  # the values it was built for
@@ -663,7 +668,8 @@ def _folded_logit(params: CmpParams, table: ClassTable, g: Graph) -> float:
             pre = pre.reshape(n, -1)
             pre += table.bias
             if params.rounds > 3:  # the middle rounds run on vertex rows
-                trace = ForwardTrace([0], None, *_batch_maps((g,), params.rounds))
+                cells, ones, adjacency, _ = _vertex_maps((g,), degrees, params.rounds)
+                trace = ForwardTrace([0], None, *[[m] * params.rounds for m in (cells, ones, None, adjacency)])
                 rows = table.block(params, 2, pre)
                 for k in range(3, params.rounds - 1):
                     rows = table.block(params, k, _round_input(params, trace, k, rows))
@@ -710,8 +716,9 @@ def _block(trace: ForwardTrace | None, pre: np.ndarray, scale: np.ndarray | floa
     the block's intermediates in ``trace``, if given, and returns its output
     rows. Each row's output depends on that row alone. The norm's sums and
     divisions are those of ``act.mean`` and ``act.var``, in the same order,
-    without the second mean pass."""
-    act = gelu(pre)
+    without the second mean pass. A trace keeps GELU's Phi(pre) as ``cdf``."""
+    cdf = None if trace is None else ndtr(pre)
+    act = gelu(pre) if cdf is None else cdf * pre
     size = act.shape[1]
     act -= np.add.reduce(act, axis=1, keepdims=True) / size
     inv = 1.0 / np.sqrt(np.add.reduce(act * act, axis=1, keepdims=True) / size + NORM_EPS)
@@ -720,6 +727,7 @@ def _block(trace: ForwardTrace | None, pre: np.ndarray, scale: np.ndarray | floa
     out += shift
     if trace is not None:
         trace.pre_act.append(pre)
+        trace.cdf.append(cdf)
         trace.normed.append(act)
         trace.inv_std.append(inv)
         trace.out.append(out)
@@ -734,7 +742,7 @@ def _block_grad(
     d(pre-activation). It consumes the block's entries of ``trace``,
     computing in their storage. The layer norm's part is, per row,
     ``inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))``, and GELU's
-    derivative is ``Phi(x) + x phi(x)``."""
+    derivative is ``Phi(x) + x phi(x)``, with Phi(x) the forward's ``cdf``."""
     xhat, trace.normed[j] = trace.normed[j], None
     dscale += np.einsum("ij,ij->j", dout, xhat)
     dshift += dout.sum(axis=0)
@@ -748,7 +756,7 @@ def _block_grad(
     del xhat
     dpre *= trace.inv_std[j]
     x, trace.pre_act[j] = trace.pre_act[j], None
-    cdf = ndtr(x)
+    cdf, trace.cdf[j] = trace.cdf[j], None
     cdf *= dpre
     dpre *= x
     x *= x

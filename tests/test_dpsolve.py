@@ -3,6 +3,7 @@ under exact comparators, gadget construction, and roll-out estimates."""
 
 import dataclasses
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -230,25 +231,74 @@ class TestSolveMis:
 
         monkeypatch.setattr(dpsolve, "remove_vertices", counting)
         # a path peels from its lowest-id end: every vertex it deletes was a
-        # pendant's neighbour in the graph the run had left
+        # pendant's neighbour in the graph the run had left. The runs clear
+        # every edge, so the survivors are returned with no graph edit.
         path = build_graph(9, [(v, v + 1) for v in range(8)])
         vs, traj = solve_mis(path, refuse, seed=0, reduce=True)
-        assert edits == [[1, 3, 5, 7]]
+        assert edits == []
         assert vs.members == {0, 2, 4, 6, 8} and traj.steps == []
         # K6 minus the edge 0-1 has no degree-1 vertex, so the domination run
         # takes it: 2..5 each contain N[0], and the last of them to go is
         # the only neighbour left to 0 and 1
-        edits.clear()
         vs, traj = solve_mis(k6_minus_edge(), refuse, seed=0, reduce=True)
-        assert edits == [[2, 3, 4, 5]]
+        assert edits == []
         assert vs.members == {0, 1} and traj.steps == []
         # beside it, the path 6-7-8: the pendant run deletes 7, the
-        # domination run 2..5, and both go in one edit
-        edits.clear()
+        # domination run 2..5
         both = build_graph(9, list(k6_minus_edge().edges()) + [(6, 7), (7, 8)])
         vs, traj = solve_mis(both, refuse, seed=0, reduce=True)
-        assert edits == [[2, 3, 4, 5, 7]]
+        assert edits == []
         assert vs.members == {0, 1, 6, 8} and traj.steps == []
+        # a disjoint C5 has no pendant and no dominated vertex, so an edge
+        # survives the runs, and what they deleted goes in one edit before
+        # the first decision
+        for g, first_edit, kept in ((path, [1, 3, 5, 7], {0, 2, 4, 6, 8}), (k6_minus_edge(), [2, 3, 4, 5], {0, 1})):
+            c5 = [(g.n + i, g.n + (i + 1) % 5) for i in range(5)]
+            edits.clear()
+            compare, picked = recording(always(0))
+            vs, traj = solve_mis(build_graph(g.n + 5, list(g.edges()) + c5), compare, seed=0, reduce=True)
+            assert edits[0] == first_edit
+            assert len(traj.steps) == len(picked) == 1
+            assert kept < vs.members and len(vs) == len(kept) + 2
+
+    def test_a_decision_free_reducing_solve_draws_and_edits_nothing(self, monkeypatch):
+        made, edits = [], []
+
+        class CountingRandom(random.Random):
+            def __init__(self, seed):
+                made.append(seed)
+                super().__init__(seed)
+
+        def counting(g, drop):
+            edits.append(drop)
+            return remove_vertices(g, drop)
+
+        monkeypatch.setattr(dpsolve, "random", types.SimpleNamespace(Random=CountingRandom))
+        monkeypatch.setattr(dpsolve, "remove_vertices", counting)
+        rng = random.Random(105)
+        for trial in range(60):
+            g = random_forest(rng, rng.randint(1, 20), rng.random())
+            vs, traj = solve_mis(g, refuse, seed=trial, reduce=True)
+            assert vs.valid_for(g) and len(vs) == exact_mis_size(g) and traj.steps == []
+        assert made == [] and edits == []
+        # the counters see a solve that decides: one stream, seeded at its
+        # first draw with the solve's seed
+        vs, traj = solve_mis(build_graph(5, [(i, (i + 1) % 5) for i in range(5)]), always(0), seed=3, reduce=True)
+        assert made == [3] and len(traj.steps) == 1
+
+    def test_runs_that_clear_the_graph_after_decisions_match_one_vertex_per_edit(self):
+        rng = random.Random(106)
+        graphs = [build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(4, 12)]
+        graphs += [min_degree_2_graph(rng, rng.randint(5, 18), 0.3 * rng.random()) for _ in range(120)]
+        graphs = [g for g in graphs if reduced(g)[0].m]  # the runs alone leave an edge
+        assert len(graphs) > 60
+        for trial, g in enumerate(graphs):
+            for seed in range(3):
+                vs, traj = solve_mis(g, random_comparator(seed), seed=trial + seed, reduce=True)
+                members, steps = solve_mis_one_vertex_per_edit(g, random_comparator(seed), trial + seed)
+                assert traj.steps, "each graph here needs at least one decision"
+                assert vs.members == members
+                assert traj.steps == steps
 
     def test_oracle_optimality_taking_pendants(self):
         rng = random.Random(201)

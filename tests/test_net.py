@@ -411,6 +411,22 @@ class TestPairLoss:
             assert getattr(grads, name.replace("_w", "_b"))[0].any()
             assert all(w.any() for w in getattr(grads, name)[1:])
 
+    @pytest.mark.parametrize("geometry", [(1, 4, 2), (3, 5, 3), (4, 6, 4)])
+    def test_the_backward_pass_reuses_the_forwards_phi(self, monkeypatch, geometry):
+        # one normal CDF per block, taken in the forward pass: the message
+        # rounds, then the hidden head layers
+        calls, real = [], net.ndtr
+
+        def counting(x):
+            calls.append(x.shape)
+            return real(x)
+
+        monkeypatch.setattr(net, "ndtr", counting)
+        p = init_params(*geometry, seed=4)
+        rng = random.Random(9)
+        pair_loss_and_grad(p, [(random_graph(rng, 9, 0.3), random_graph(rng, 12, 0.4), 1), (triangle(), path3(), 0)])
+        assert len(calls) == geometry[0] + geometry[2] - 1
+
     def test_label_validated(self):
         p = init_params(1, 2, 2, seed=0)
         with pytest.raises(ValueError):

@@ -7,8 +7,10 @@ that no longer resolves. These tests import the bench files as they stand:
 one resolves every name ``layers`` lists, so a rename in ``src/`` fails here
 first; one checks that its solve timer still gets samples from training and
 from a learned solve, which a refactor could route around the wrapped names
-without any error; one checks that every row of an all-method eval passes
-the benchmark's row checks, which see only sets returned by ``run_method``,
+without any error; one checks that it times every roll-out of a training
+run, one sample per ``solve_mis`` call; one checks that every row of an
+all-method eval passes the benchmark's row checks, which see only sets
+returned by ``run_method``,
 and that its solve timer sees exactly one set of learned roll-outs per
 graph; one checks that its data hooks still find the records
 they count (solver steps, buffer pairs, exact-search nodes, cache misses)
@@ -74,6 +76,29 @@ def test_bench_solve_timer_sees_training_and_learned_solves(monkeypatch):
         assert timer.take()
         evaluate.run_method(graphs[0], "cmp", "mis", cfg, seed=0, params=params)
         assert timer.take()
+
+
+def test_bench_solve_timer_times_every_training_rollout(monkeypatch):
+    # a shortcut that answered a roll-out without a solve_mis call would
+    # move the timed solves' median without making any solve faster
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    spans = importlib.import_module("spans")
+    graphs = [generate(GenSpec("er", n=10, p=0.3, seed=s)) for s in range(3)]
+    cfg = dataclasses.replace(tiny_cfg(), num_rollouts=2, mixed=True)
+    estimates = []
+    for module in (dpsolve, selftrain):  # harvest with mixed estimates; consistency
+        def counting(*args, _real=module.rollout_estimate, **kwargs):
+            estimates.append(args[0])
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, "rollout_estimate", counting)
+    with spans.Patches() as patches:
+        timer = layers.SolveTimer(patches)
+        _, rows = selftrain.train(graphs, cfg)
+        samples = timer.take()
+    harvests = cfg.graphs_per_refresh * len({row.refresh_index for row in rows})
+    assert estimates and harvests == 6
+    assert len(samples) == cfg.num_rollouts * len(estimates) + harvests
 
 
 def test_bench_eval_rows_pass_their_checks_and_time_one_set_of_rollouts(monkeypatch):
