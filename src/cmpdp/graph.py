@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Sequence
@@ -31,14 +30,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.adjacency[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, ascending."""
@@ -147,10 +138,6 @@ class VertexSet:
             raise GraphError(f"unknown vertex-set kind {self.kind!r}")
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    @property
-    def size(self) -> int:
         return len(self.members)
 
     def valid_for(self, g: Graph) -> bool:

@@ -441,9 +441,8 @@ class ForwardTrace:
     lists."""
 
     live: list[int]                     # batch positions of the non-empty graphs
-    sizes: np.ndarray | None = None     # (graphs, 1) their vertex counts
     slots: list = field(default_factory=list)       # per round; None at round 0
-    row_count: list[np.ndarray] = field(default_factory=list)  # per round, (graphs, 1, slots)
+    row_count: list[np.ndarray] = field(default_factory=list)  # per round, (graphs, 1, slots); round 0's: sizes
     own_map: list = field(default_factory=list)      # per round; None at round 0
     neigh_map: list = field(default_factory=list)    # per round; None at round 0
     pre_act: list[np.ndarray] = field(default_factory=list)    # per block, before GELU
@@ -465,7 +464,6 @@ def score_graphs(params: CmpParams, graphs: Sequence[Graph]) -> tuple[np.ndarray
         return np.zeros(len(graphs)), trace
     trace.slots, trace.row_count, trace.own_map, trace.neigh_map = _batch_maps(
         graphs if len(live) == len(graphs) else [graphs[i] for i in live], params.rounds)
-    trace.sizes = trace.row_count[0].reshape(-1, 1)
     rows = np.zeros((1, 3 * params.width))  # round 0's input: the shared zero row of every vertex
     for k in range(params.rounds):
         rows = _block(trace, _round_input(params, trace, k, rows), params.norm_scale[k], params.norm_shift[k])
@@ -475,7 +473,7 @@ def score_graphs(params: CmpParams, graphs: Sequence[Graph]) -> tuple[np.ndarray
     else:  # the backward pass never reads the last round's rows, so they take their weights in place
         rows *= _from_slots(count.mT, last)
         pooled = np.add.reduceat(rows, last.pad[:, 0])
-    rows = trace.pooled = pooled / trace.sizes
+    rows = trace.pooled = pooled / trace.row_count[0][:, 0]
     for i in range(params.head_layers - 1):
         pre = rows @ params.head_w[i].T + params.head_b[i]
         rows = _block(trace, pre, params.head_norm_scale[i], params.head_norm_shift[i])
@@ -535,13 +533,14 @@ class ClassTable:
 
     Round 0's row depends on the parameters alone, and round 1's row for a
     vertex only on its (n, d) class: its graph's size and its degree. The
-    class store (``rows``) keeps, per class met, what round 2 reads: the
-    self, neighbour and negated non-neighbour weight products of the class's
-    round-1 row (with two rounds, the last round's class row itself). A
-    missing class goes through :func:`_round_input` and :func:`_block`, and
-    its products are taken on their own, as a vector product, so no row's
-    bits depend on which graphs came first. The store holds at most ``cap``
-    classes and empties when a forward's new classes would pass that. The
+    class store (``rows``) maps a class key n(n - 1)/2 + d to what round 2
+    reads: the self, neighbour and negated non-neighbour weight products of
+    the class's round-1 row (with two rounds, that row itself). A missing
+    class goes through :func:`_round_input` and :func:`_block`, and its
+    products are taken on their own, as a vector product, so no row's bits
+    depend on which graphs came first. The store holds at most ``cap``
+    classes: a graph with more leaves it as it is, and one whose new classes
+    would pass the cap empties it and fills it with its own. The
     folds: a layer norm's scale s and shift t become W diag(s) and W t + b
     of the linear layer that reads it (head layer 0 for the last round). The
     pass and the traced pass take GELU from one ``ndtr``, bit for bit."""
@@ -551,8 +550,7 @@ class ClassTable:
         w, last = params.width, params.rounds - 1
         self.cap = max(1, TABLE_VALUES // (3 * w))
         self.first = self.block(params, 0, _round_input(params, None, 0, np.zeros((1, 3 * w))))
-        self.index: dict[int, int] = {}  # class key n(n - 1)/2 + d -> its row
-        self.rows = np.empty((0, 3 * w))
+        self.rows: dict[int, np.ndarray] = {}
         if params.rounds > 2:
             self.products = np.concatenate((params.self_w[2], params.neigh_w[2], -params.anti_w[2]))
             self.bias = np.concatenate((params.self_b[2], params.neigh_b[2], params.anti_b[2]))
@@ -565,9 +563,6 @@ class ClassTable:
         self.last_w, self.first_w = final_w[:w] * scale[hidden], final_w[w:] * scale[1]
         self.final_b = float(final_w[:w] @ shift[hidden] + final_w[w:] @ shift[1] + params.head_b[-1][0])
 
-    def __len__(self) -> int:
-        return len(self.index)
-
     @staticmethod
     def block(params: CmpParams, k: int, pre: np.ndarray) -> np.ndarray:
         """Round k's block, without the last round's scale and shift."""
@@ -577,27 +572,17 @@ class ClassTable:
 
     def class_rows(self, params: CmpParams, n: int, degrees: np.ndarray) -> np.ndarray:
         """The store rows of the classes (n, d) for d in ``degrees``, adding
-        the ones it misses. A graph with more classes than ``cap`` gets its
-        rows without the table keeping them."""
+        the ones it misses."""
         keys = (degrees + n * (n - 1) // 2).tolist()
-        at = [self.index.get(key, -1) for key in keys]
-        if -1 in at:
-            new = [i for i, row in enumerate(at) if row < 0]
-            if len(self.index) + len(new) > self.cap:
-                if len(keys) > self.cap:
-                    return self._new_rows(params, n, degrees)
-                self.index.clear()
-                new = list(range(len(keys)))
-            rows = self._new_rows(params, n, degrees[new])
-            start, end = len(self.index), len(self.index) + len(new)
-            if end > len(self.rows):
-                grown = np.empty((min(self.cap, 2 * end), rows.shape[1]))
-                grown[:start] = self.rows[:start]
-                self.rows = grown
-            self.rows[start:end] = rows
-            self.index.update(zip([keys[i] for i in new], range(start, end)))
-            at = [self.index[key] for key in keys]
-        return self.rows[at]
+        new = [i for i, key in enumerate(keys) if key not in self.rows]
+        if new:
+            if len(keys) > self.cap:
+                return self._new_rows(params, n, degrees)
+            if len(self.rows) + len(new) > self.cap:
+                self.rows.clear()
+                new = range(len(keys))
+            self.rows.update(zip([keys[i] for i in new], self._new_rows(params, n, degrees[new])))
+        return np.array([self.rows[key] for key in keys])
 
     def _new_rows(self, params: CmpParams, n: int, degrees: np.ndarray) -> np.ndarray:
         """Store rows of the classes (n, d) for d in ``degrees``: round 1's
@@ -669,7 +654,7 @@ def _folded_logit(params: CmpParams, table: ClassTable, g: Graph) -> float:
             pre += table.bias
             if params.rounds > 3:  # the middle rounds run on vertex rows
                 cells, ones, adjacency, _ = _vertex_maps((g,), degrees, params.rounds)
-                trace = ForwardTrace([0], None, *[[m] * params.rounds for m in (cells, ones, None, adjacency)])
+                trace = ForwardTrace([0], *[[m] * params.rounds for m in (cells, ones, None, adjacency)])
                 rows = table.block(params, 2, pre)
                 for k in range(3, params.rounds - 1):
                     rows = table.block(params, k, _round_input(params, trace, k, rows))
@@ -831,7 +816,7 @@ def _backprop(params: CmpParams, trace: ForwardTrace, dlogit: np.ndarray, grads:
         raise NonFiniteError("non-finite gradient entering the pooling layer")
 
     last, count = trace.slots[-1], trace.row_count[-1]
-    dout = dout / trace.sizes
+    dout = dout / trace.row_count[0][:, 0]
     if last is None:
         dout = _from_slots(count.mT * dout.reshape(count.shape[:-1] + (-1,)), None)
     else:  # each row's share of its graph's mean, without a padded copy

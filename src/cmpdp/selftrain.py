@@ -202,10 +202,11 @@ def train(dataset: Sequence[Graph], cfg: RunConfig) -> tuple[CmpParams, list[Met
     (the initial parameters when no step was taken, as with ``total_epochs``
     0) and one metrics row per epoch.
 
-    Consistency is measured at every buffer refresh (the first measurement,
-    before any update, is the random-initialization value) and carried into
-    the rows of that refresh. When the buffer has no validation split, the
-    validation columns fall back to the train split.
+    A buffer refresh opens every ``epochs_per_refresh``-th epoch (the last
+    may run fewer) and measures consistency, which the rows of that refresh
+    carry; the first measurement, before any update, is the random-init
+    value. Without a validation split, the validation columns and the
+    consistency probe read the train split.
     """
     cfg.validate()
     if not dataset:
@@ -214,52 +215,47 @@ def train(dataset: Sequence[Graph], cfg: RunConfig) -> tuple[CmpParams, list[Met
     state = init_adam(params)
     rows: list[MetricsRow] = []
     started = time.monotonic()
-    epoch = 0
-    refresh_index = 0
     rng = random.Random(derive_seed(cfg.seed, "epochs"))
-    while epoch < cfg.total_epochs:
-        buffer = refresh_buffer(dataset, params, cfg, derive_seed(cfg.seed, "refresh", refresh_index))
-        log.info(
-            "refresh %d: sampled %d steps, dropped %d estimate ties, stored %d of capacity %d",
-            refresh_index, buffer.sampled, buffer.sampled - len(buffer), len(buffer), buffer.capacity,
-        )
-        if len(buffer) == 0:
-            log.warning(
-                "refresh %d produced an empty buffer: every harvested pair tied, or no graph had an edge",
-                refresh_index,
+    for epoch in range(cfg.total_epochs):
+        refresh_index, into_refresh = divmod(epoch, cfg.epochs_per_refresh)
+        if into_refresh == 0:
+            buffer = refresh_buffer(dataset, params, cfg, derive_seed(cfg.seed, "refresh", refresh_index))
+            log.info(
+                "refresh %d: sampled %d steps, dropped %d estimate ties, stored %d of capacity %d",
+                refresh_index, buffer.sampled, buffer.sampled - len(buffer), len(buffer), buffer.capacity,
             )
-        probe = [(s.g, s.g_prime) for s in (buffer.val or buffer.train)[: cfg.consistency_pairs]]
-        consistency = measure_consistency(
-            params, probe, cfg.num_rollouts, derive_seed(cfg.seed, "consistency", refresh_index)
-        )
-        val_split = buffer.val or buffer.train
-        for _ in range(cfg.epochs_per_refresh):
-            if epoch >= cfg.total_epochs:
-                break
-            order = list(buffer.train)
-            rng.shuffle(order)
-            losses: list[float] = []
-            for start in range(0, len(order), cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                batch_losses, total = pair_loss_and_grad(params, [(s.g, s.g_prime, s.label) for s in batch])
-                losses.extend(batch_losses)
-                total.flat /= len(batch)
-                params, state = adam_step(params, grads=total, state=state, lr=cfg.lr)
-            train_loss = sum(losses) / len(losses) if losses else 0.0
-            val_loss, val_acc = _validate(params, val_split)
-            rows.append(
-                MetricsRow(
-                    epoch=epoch,
-                    refresh_index=refresh_index,
-                    train_loss=train_loss,
-                    val_loss=val_loss,
-                    val_pair_accuracy=val_acc,
-                    consistency=consistency,
-                    wall_seconds=time.monotonic() - started,
+            if len(buffer) == 0:
+                log.warning(
+                    "refresh %d produced an empty buffer: every harvested pair tied, or no graph had an edge",
+                    refresh_index,
                 )
+            val_split = buffer.val or buffer.train
+            probe = [(s.g, s.g_prime) for s in val_split[: cfg.consistency_pairs]]
+            consistency = measure_consistency(
+                params, probe, cfg.num_rollouts, derive_seed(cfg.seed, "consistency", refresh_index)
             )
-            epoch += 1
-        refresh_index += 1
+        order = list(buffer.train)
+        rng.shuffle(order)
+        losses: list[float] = []
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            batch_losses, total = pair_loss_and_grad(params, [(s.g, s.g_prime, s.label) for s in batch])
+            losses.extend(batch_losses)
+            total.flat /= len(batch)
+            params, state = adam_step(params, grads=total, state=state, lr=cfg.lr)
+        train_loss = sum(losses) / len(losses) if losses else 0.0
+        val_loss, val_acc = _validate(params, val_split)
+        rows.append(
+            MetricsRow(
+                epoch=epoch,
+                refresh_index=refresh_index,
+                train_loss=train_loss,
+                val_loss=val_loss,
+                val_pair_accuracy=val_acc,
+                consistency=consistency,
+                wall_seconds=time.monotonic() - started,
+            )
+        )
     return params, rows
 
 

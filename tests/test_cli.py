@@ -6,6 +6,7 @@ import importlib
 import os
 import pkgutil
 import resource
+import shlex
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import cmpdp
+from cmpdp import cli
 from cmpdp.cli import CliUsageError, run_cli
 from cmpdp.graphio import parse_solution, read_graph_file, write_graph_file
 from cmpdp.generators import GenSpec, generate
@@ -46,6 +48,18 @@ def read_csv(path):
 
 def test_help_exits_zero():
     assert run_cli(["--help"]) == 0
+
+
+def test_readme_command_lines_parse():
+    # every command line the README shows parses; none runs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("cmpdp ")]
+    assert len(lines) == 8
+    parser = cli._build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
 
 
 def test_no_command_is_usage_error():

@@ -72,8 +72,8 @@ def lowest_pendant(g):
 
 def lowest_dominated(g):
     """The lowest-id vertex u with a neighbour v such that N[v] ⊆ N[u], or None."""
-    closed = [set(g.neighbors(v)) | {v} for v in range(g.n)]
-    return next((u for u in range(g.n) if any(closed[v] <= closed[u] for v in g.neighbors(u))), None)
+    closed = [set(g.adjacency[v]) | {v} for v in range(g.n)]
+    return next((u for u in range(g.n) if any(closed[v] <= closed[u] for v in g.adjacency[u])), None)
 
 
 def reduced(g):
@@ -89,7 +89,7 @@ def reduced(g):
         kept = [kept[old] for old in survivors]
 
     while (pendant := lowest_pendant(g)) is not None:
-        delete(g.neighbors(pendant)[0])
+        delete(g.adjacency[pendant][0])
     while (u := lowest_dominated(g)) is not None:
         delete(u)
     return g, kept

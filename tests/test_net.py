@@ -251,7 +251,7 @@ class TestClassTable:
             assert trace is None
             assert abs(got[i] - want[i]) <= 1e-12, (i, got[i], want[i])
         classes = {(g.n, len(row)) for g in corpus for row in g.adjacency}
-        assert len(table) == (len(classes) if rounds > 1 else 0)
+        assert len(table.rows) == (len(classes) if rounds > 1 else 0)
         # another table meeting the graphs in the opposite order gives the same bits
         other = ClassTable(p)
         assert [score_graph(p, corpus[i], other)[0] for i in reversed(order)] == [got[i] for i in reversed(order)]
@@ -286,7 +286,32 @@ class TestClassTable:
         want = score_graphs(p, corpus)[0]
         for g, z in zip(corpus, want):
             assert abs(score_graph(p, g, table)[0] - z) <= 1e-12
-            assert len(table) <= 12 and len(table.rows) <= 12
+            assert len(table.rows) <= 12
+
+    def test_store_policy_at_a_cap_of_three_classes(self, monkeypatch):
+        # a graph with more classes than the cap leaves the store as it is;
+        # one whose new classes would overflow it empties it first
+        p = init_params(3, 4, 3, seed=2)
+        monkeypatch.setattr(net, "TABLE_VALUES", 3 * 3 * 4)  # 3 classes of 3w values
+        table = ClassTable(p)
+        assert table.cap == 3
+        calls = []
+        real_new_rows = ClassTable._new_rows
+
+        def counting(self, *args):
+            calls.append(args)
+            return real_new_rows(self, *args)
+
+        monkeypatch.setattr(ClassTable, "_new_rows", counting)
+        path = build_graph(4, [(0, 1), (1, 2), (2, 3)])  # classes (4, 1), (4, 2)
+        four = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2)])  # degrees 3, 2, 1, 0
+        three = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)])  # degrees 1, 2, 0
+        cumulative = []
+        for g in (path, four, path, three, path):
+            z = score_graph(p, g, table)[0]
+            assert abs(z - score_graphs(p, [g])[0][0]) <= 1e-12
+            cumulative.append(len(calls))
+        assert cumulative == [1, 2, 2, 3, 4]
 
     def test_kept_with_the_parameters_until_they_change(self):
         p = init_params(2, 3, 2, seed=0)

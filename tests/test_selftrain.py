@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmpdp import dpsolve, selftrain
 from cmpdp.classic import exact_mis_size, greedy_mis
@@ -210,6 +212,36 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty dataset"):
             train([], small_cfg())
+
+    @settings(max_examples=25, deadline=None)
+    @given(total=st.integers(0, 9), per_refresh=st.integers(1, 4))
+    def test_a_refresh_opens_every_epochs_per_refresh_th_epoch(self, total, per_refresh):
+        # the last refresh may be cut short, and zero epochs run no refresh
+        data = er_dataset(3, 8, 0.4, seed=5)
+        cfg = small_cfg(total_epochs=total, epochs_per_refresh=per_refresh, rounds=1, width=2,
+                        graphs_per_refresh=2, pairs_per_graph=2, num_rollouts=1, consistency_pairs=2)
+        seeds = {"refresh": [], "consistency": []}
+        real_refresh, real_consistency = selftrain.refresh_buffer, selftrain.measure_consistency
+
+        def refresh(dataset, params, cfg, seed):
+            seeds["refresh"].append(seed)
+            return real_refresh(dataset, params, cfg, seed)
+
+        def consistency(params, pairs, num_rollouts, seed):
+            seeds["consistency"].append(seed)
+            return real_consistency(params, pairs, num_rollouts, seed)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selftrain, "refresh_buffer", refresh)
+            mp.setattr(selftrain, "measure_consistency", consistency)
+            _, rows = train(data, cfg)
+        refreshes = -(-total // per_refresh)
+        for kind, got in seeds.items():
+            assert got == [derive_seed(cfg.seed, kind, i) for i in range(refreshes)], kind
+        assert [(r.epoch, r.refresh_index) for r in rows] == [(e, e // per_refresh) for e in range(total)]
+        for a, b in zip(rows, rows[1:]):
+            if a.refresh_index == b.refresh_index:
+                assert a.consistency == b.consistency
 
     def test_single_pair_overfit_drops_below_ln2(self):
         # one distinguishable pair, trained repeatedly: loss must fall under

@@ -22,7 +22,10 @@ one builds every ``RunConfig`` the bench files construct; one checks
 that the package, a three-round forward and a default-geometry mini-batch
 gradient do not load ``scipy.sparse``, whose import alone adds about 2 MB to
 the benchmark's peak memory; and one checks that the installed numpy and
-scipy meet the floors ``pyproject.toml`` declares.
+scipy meet the floors ``pyproject.toml`` declares. The last pins the
+forward passes, solves, solver steps, buffer pairs and eval set sizes of a
+tiny seeded train and eval, so a change meant to keep every decision shows
+here if it does not.
 """
 
 import ast
@@ -220,3 +223,53 @@ def test_installed_numpy_and_scipy_meet_the_declared_floors():
         assert release(importlib.import_module(name).__version__) >= release(floor), name
     # the scorer's backward pass uses ndarray.mT, which numpy 2.0 added
     assert release(floors["numpy"]) >= (2, 0)
+
+
+def test_a_tiny_seeded_run_makes_the_pinned_decisions(monkeypatch):
+    # forward passes, solves, solver steps and buffer pairs of a fixed tiny
+    # train and all-method eval. A change that should keep every decision
+    # must keep these integers; one that moves decisions on purpose updates
+    # the literals and says so
+    counts = dict.fromkeys(("forwards", "solves", "steps", "pairs", "label1", "sampled"), 0)
+    real_score = dpsolve.score_graph
+
+    def counting_score(*args, **kwargs):
+        counts["forwards"] += 1
+        return real_score(*args, **kwargs)
+
+    monkeypatch.setattr(dpsolve, "score_graph", counting_score)
+    for module in (dpsolve, selftrain, evaluate):
+        def counting_solve(*args, _real=module.solve_mis, **kwargs):
+            vs, traj = _real(*args, **kwargs)
+            counts["solves"] += 1
+            counts["steps"] += len(traj.steps)
+            return vs, traj
+        monkeypatch.setattr(module, "solve_mis", counting_solve)
+    real_refresh = selftrain.refresh_buffer
+
+    def counting_refresh(*args, **kwargs):
+        buffer = real_refresh(*args, **kwargs)
+        counts["pairs"] += len(buffer)
+        counts["label1"] += sum(s.label for s in buffer.train + buffer.val)
+        counts["sampled"] += buffer.sampled
+        return buffer
+
+    monkeypatch.setattr(selftrain, "refresh_buffer", counting_refresh)
+    graphs = [generate(GenSpec("er", n=n, p=0.25, seed=i)) for i, n in enumerate(range(10, 50, 2))]
+    held_out = [generate(GenSpec("er", n=n, p=0.25, seed=100 + i)) for i, n in enumerate((24, 32, 40, 48))]
+    cfg = RunConfig(total_epochs=17, epochs_per_refresh=3, graphs_per_refresh=12, pairs_per_graph=4, batch_size=8,
+                    num_rollouts=2, mixed=True, rounds=3, width=8, head_layers=3, consistency_pairs=6, seed=11,
+                    local_search_moves=50)
+    params, rows = selftrain.train(graphs, cfg)
+    sizes = {problem: [r.size for r in evaluate.eval_dataset(held_out, evaluate.METHODS, problem, cfg, seed=3,
+                                                               params=params).rows]
+             for problem in ("mis", "mvc")}
+    observed = (counts, sizes)
+    assert len(rows) == 17, observed
+    assert counts == {
+        "forwards": 5291, "solves": 1352, "steps": 2796, "pairs": 165, "label1": 74, "sampled": 283,
+    }, observed
+    assert sizes == {
+        "mis": [8, 8, 8, 6, 7, 8, 10, 10, 10, 8, 9, 10, 12, 12, 12, 8, 9, 13, 14, 14, 13, 10, 10, 14],
+        "mvc": [16, 16, 17, 17, 17, 16, 22, 22, 23, 25, 23, 22, 28, 28, 28, 31, 31, 27, 34, 34, 34, 38, 38, 34],
+    }, observed
