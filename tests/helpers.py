@@ -15,6 +15,7 @@ import zlib
 
 import numpy as np
 
+from cmpdp.classic import EXACT_VERTEX_LIMIT, ExactResult, GraphTooLargeError
 from cmpdp.dpsolve import MvcGadgets, learned_mis_comparator, solve_mis
 from cmpdp.graph import INDEPENDENT_SET, VERTEX_COVER, Graph, VertexSet, build_graph
 from cmpdp.net import MAGIC, CmpParams, score_graph
@@ -356,3 +357,111 @@ def reference_solve_mvc(g: Graph, comparator, seed: int) -> tuple[VertexSet, lis
         picked = min(x, y, key=lambda t: (is_copy[t], source[t], t))
         cover.add(source[picked])
     return VertexSet(frozenset(cover), VERTEX_COVER), steps
+
+
+def reference_exact_mis(g: Graph, budget: int | None = None) -> ExactResult:
+    """``classic.exact_mis`` as it stood before its peel took vertices from a
+    heap: every peeled vertex of degree <= 1 rescans the available vertices.
+    Maximum independent set by branch and bound.
+
+    Branches on a maximum-degree vertex (in / out), after greedily taking all
+    vertices of degree <= 1, which some optimum always contains. Deterministic
+    for a fixed graph. ``budget`` caps the number of branch nodes expanded.
+    """
+    if budget is None and g.n > EXACT_VERTEX_LIMIT:
+        raise GraphTooLargeError(
+            f"{g.n} vertices exceeds the exact limit {EXACT_VERTEX_LIMIT}; pass a budget"
+        )
+    masks = [sum(1 << u for u in g.adjacency[v]) for v in range(g.n)]
+    closed = [masks[v] | (1 << v) for v in range(g.n)]
+
+    seed = reference_greedy_mis(g)
+    best_size = len(seed)
+    best_mask = sum(1 << v for v in seed.members)
+    expanded = 0
+    exhausted = False
+
+    def search(avail: int, size: int, chosen: int) -> None:
+        nonlocal best_size, best_mask, expanded, exhausted
+        if exhausted:
+            return
+        while avail:
+            low_v = -1
+            high_v = -1
+            low_d = high_d = -1
+            rest = avail
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                v = bit.bit_length() - 1
+                d = (masks[v] & avail).bit_count()
+                if low_v < 0 or d < low_d:
+                    low_v, low_d = v, d
+                if d > high_d:
+                    high_v, high_d = v, d
+            if low_d <= 1:
+                chosen |= 1 << low_v
+                size += 1
+                avail &= ~closed[low_v]
+                continue
+            break
+        if avail == 0:
+            if size > best_size:
+                best_size = size
+                best_mask = chosen
+            return
+        if size + avail.bit_count() <= best_size:
+            return
+        expanded += 1
+        if budget is not None and expanded > budget:
+            exhausted = True
+            return
+        v = high_v
+        search(avail & ~closed[v], size + 1, chosen | (1 << v))
+        search(avail & ~(1 << v), size, chosen)
+
+    search((1 << g.n) - 1, 0, 0)
+    members = frozenset(v for v in range(g.n) if best_mask >> v & 1)
+    return ExactResult(VertexSet(members, INDEPENDENT_SET), not exhausted, expanded)
+
+
+def reference_greedy_mis(g: Graph) -> VertexSet:
+    """``classic.greedy_mis`` as first written, with a scan of every live
+    vertex per pick: repeatedly take a minimum-degree vertex (smallest id on ties) and
+    delete it together with its neighbors."""
+    alive = [True] * g.n
+    deg = [g.degree(v) for v in range(g.n)]
+    remaining = g.n
+    chosen: list[int] = []
+    while remaining:
+        v = min((u for u in range(g.n) if alive[u]), key=lambda u: (deg[u], u))
+        chosen.append(v)
+        for u in (v, *g.adjacency[v]):
+            if not alive[u]:
+                continue
+            alive[u] = False
+            remaining -= 1
+            for w in g.adjacency[u]:
+                if alive[w]:
+                    deg[w] -= 1
+    return VertexSet(frozenset(chosen), INDEPENDENT_SET)
+
+
+def reference_greedy_mvc(g: Graph) -> VertexSet:
+    """``classic.greedy_mvc`` as first written, with a scan of every live
+    vertex per pick: repeatedly move a maximum-degree vertex (smallest id on ties) into the
+    cover and delete it, until no edges remain."""
+    alive = [True] * g.n
+    deg = [g.degree(v) for v in range(g.n)]
+    edges_left = g.m
+    cover: list[int] = []
+    while edges_left:
+        v = min((u for u in range(g.n) if alive[u]), key=lambda u: (-deg[u], u))
+        cover.append(v)
+        alive[v] = False
+        edges_left -= deg[v]
+        for u in g.adjacency[v]:
+            if alive[u]:
+                deg[u] -= 1
+        deg[v] = 0
+    return VertexSet(frozenset(cover), VERTEX_COVER)

@@ -1,5 +1,6 @@
 """Exact branch-and-bound against brute force, greedy traces, local search,
-and the complementation identity."""
+and the complementation identity; the exact and greedy solvers against
+their rescanning references, on every generator family."""
 
 import random
 
@@ -20,7 +21,18 @@ from cmpdp.classic import (
 from cmpdp.generators import GenSpec, generate
 from cmpdp.graph import build_graph
 
-from helpers import brute_force_mis_size, brute_force_mvc_size, random_graph, reference_local_search_mis
+from helpers import (
+    brute_force_mis_size,
+    brute_force_mvc_size,
+    random_chordal,
+    random_forest,
+    random_graph,
+    reference_exact_mis,
+    reference_greedy_mis,
+    reference_greedy_mvc,
+    reference_local_search_mis,
+    sparse_graph,
+)
 
 
 def triangle():
@@ -29,6 +41,38 @@ def triangle():
 
 def cycle(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+FAMILIES = ("er", "ba", "forest", "chordal", "special")
+
+
+@st.composite
+def family_graphs(draw, max_n=40):
+    """A graph of one generator family: ER (edgeless and complete included),
+    BA, a random forest, a chordal graph or a special instance."""
+    family = draw(st.sampled_from(FAMILIES))
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(0, max_n))
+    p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    rng = random.Random(seed)
+    if family == "er":
+        return random_graph(rng, n, p)
+    if family == "ba":
+        n = max(n, 2)
+        return generate(GenSpec("ba", n=n, attach=1 + seed % min(3, n - 1), seed=seed))
+    if family == "forest":
+        return random_forest(rng, n, p)
+    if family == "chordal":
+        return random_chordal(rng, max(n, 3))
+    return generate(GenSpec("special", n=1 + n % 12, surplus=seed % 6, seed=seed))
+
+
+@st.composite
+def budgeted_graphs(draw):
+    """(graph, budget): no budget up to 40 vertices, a budget of 0, 1, 3 or
+    50 branch nodes up to 120."""
+    budget = draw(st.sampled_from([None, 0, 1, 3, 50]))
+    return draw(family_graphs(40 if budget is None else 120)), budget
 
 
 class TestExactMis:
@@ -73,6 +117,27 @@ class TestExactMis:
     def test_size_cache_agrees(self):
         g = random_graph(random.Random(8), 13, 0.3)
         assert exact_mis_size(g) == exact_mis(g).size
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=budgeted_graphs())
+    def test_returns_the_rescanning_reference_result(self, case):
+        # members, optimal and expanded: the same peel and branch order
+        g, budget = case
+        assert exact_mis(g, budget) == reference_exact_mis(g, budget)
+
+    def test_branch_order_is_pinned_at_n_110(self):
+        # the solve-large shape, G(110, 165): sizes and the branch nodes it
+        # took to prove them, as measured with the rescanning solver
+        results = [exact_mis(sparse_graph(110, 165, s), 2_000_000) for s in range(12)]
+        assert all(r.optimal for r in results)
+        assert [r.size for r in results] == [56, 56, 58, 58, 56, 59, 60, 56, 63, 57, 60, 60]
+        assert sum(r.expanded for r in results) == 59
+
+    def test_budgeted_run_at_n_2000_equals_the_reference(self):
+        g = sparse_graph(2000, 3000, 1)
+        r = exact_mis(g, 50)
+        assert not r.optimal and r.expanded == 51
+        assert r == reference_exact_mis(g, 50)
 
 
 class TestExactMvc:
@@ -124,6 +189,11 @@ class TestGreedyMis:
         g = random_graph(random.Random(1), 15, 0.3)
         assert greedy_mis(g).members == greedy_mis(g).members
 
+    @settings(max_examples=300, deadline=None)
+    @given(g=family_graphs(120))
+    def test_returns_the_rescanning_reference_set(self, g):
+        assert greedy_mis(g) == reference_greedy_mis(g)
+
 
 class TestGreedyMvc:
     def test_star_center(self):
@@ -143,6 +213,11 @@ class TestGreedyMvc:
         for _ in range(40):
             g = random_graph(rng, rng.randint(0, 20), rng.random())
             assert greedy_mvc(g).valid_for(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=family_graphs(120))
+    def test_returns_the_rescanning_reference_set(self, g):
+        assert greedy_mvc(g) == reference_greedy_mvc(g)
 
 
 class TestLocalSearch:

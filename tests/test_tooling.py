@@ -23,8 +23,8 @@ that the package, a three-round forward and a default-geometry mini-batch
 gradient do not load ``scipy.sparse``, whose import alone adds about 2 MB to
 the benchmark's peak memory; and one checks that the installed numpy and
 scipy meet the floors ``pyproject.toml`` declares. The last pins the
-forward passes, solves, solver steps, buffer pairs and eval set sizes of a
-tiny seeded train and eval, so a change meant to keep every decision shows
+forward passes, solves, solver steps, buffer pairs, eval set sizes, exact
+oracle branch nodes and greedy calls of a tiny seeded train and eval, so a change meant to keep every decision shows
 here if it does not.
 """
 
@@ -39,7 +39,7 @@ from pathlib import Path
 
 import pytest
 
-from cmpdp import dpsolve, evaluate, net, selftrain
+from cmpdp import classic, dpsolve, evaluate, net, selftrain
 from cmpdp.config import RunConfig
 from cmpdp.generators import GenSpec, generate
 from cmpdp.graph import build_graph, relabel
@@ -255,6 +255,22 @@ def test_a_tiny_seeded_run_makes_the_pinned_decisions(monkeypatch):
         return buffer
 
     monkeypatch.setattr(selftrain, "refresh_buffer", counting_refresh)
+    oracle = dict.fromkeys(("expanded", "greedy"), 0)
+    real_exact = classic.exact_mis
+
+    def counting_exact(*args, **kwargs):
+        result = real_exact(*args, **kwargs)
+        oracle["expanded"] += result.expanded
+        return result
+
+    # exact_mvc reaches the oracle through classic.exact_mis
+    monkeypatch.setattr(classic, "exact_mis", counting_exact)
+    monkeypatch.setattr(evaluate, "exact_mis", counting_exact)
+    for module in (classic, dpsolve, evaluate):
+        def counting_greedy(*args, _real=module.greedy_mis, **kwargs):
+            oracle["greedy"] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, "greedy_mis", counting_greedy)
     graphs = [generate(GenSpec("er", n=n, p=0.25, seed=i)) for i, n in enumerate(range(10, 50, 2))]
     held_out = [generate(GenSpec("er", n=n, p=0.25, seed=100 + i)) for i, n in enumerate((24, 32, 40, 48))]
     cfg = RunConfig(total_epochs=17, epochs_per_refresh=3, graphs_per_refresh=12, pairs_per_graph=4, batch_size=8,
@@ -264,7 +280,7 @@ def test_a_tiny_seeded_run_makes_the_pinned_decisions(monkeypatch):
     sizes = {problem: [r.size for r in evaluate.eval_dataset(held_out, evaluate.METHODS, problem, cfg, seed=3,
                                                                params=params).rows]
              for problem in ("mis", "mvc")}
-    observed = (counts, sizes)
+    observed = (counts, sizes, oracle)
     assert len(rows) == 17, observed
     assert counts == {
         "forwards": 5291, "solves": 1352, "steps": 2796, "pairs": 165, "label1": 74, "sampled": 283,
@@ -273,3 +289,6 @@ def test_a_tiny_seeded_run_makes_the_pinned_decisions(monkeypatch):
         "mis": [8, 8, 8, 6, 7, 8, 10, 10, 10, 8, 9, 10, 12, 12, 12, 8, 9, 13, 14, 14, 13, 10, 10, 14],
         "mvc": [16, 16, 17, 17, 17, 16, 22, 22, 23, 25, 23, 22, 28, 28, 28, 31, 31, 27, 34, 34, 34, 38, 38, 34],
     }, observed
+    # the exact oracle's branch nodes over both problems, and every greedy
+    # call: the exact solver's seed, the mixed estimates' floors, the rows
+    assert oracle == {"expanded": 822, "greedy": 582}, observed
