@@ -1,5 +1,13 @@
 """Exact and heuristic baselines: branch-and-bound MIS/MVC, degree-greedy
-heuristics, and a randomized insert-and-evict local search."""
+heuristics, and a randomized insert-and-evict local search.
+
+The exact solver holds a node's available vertices in one int bitmask. A
+branch node scans them once and takes each degree as a popcount: O(a)
+big-int operations of O(n / 64) words for a available vertices. Its peel
+adds O(log a) per vertex it takes and one operation per degree that falls,
+and it rescans only to find a new branch vertex when the peel removed the
+scan's choice or cut its degree. The greedy heuristics keep degrees up to
+date in a heap: O((n + m) log n) per run."""
 
 from __future__ import annotations
 
@@ -8,6 +16,7 @@ import time
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import compress
 
 from .graph import (
@@ -45,11 +54,15 @@ class ExactResult:
 
 
 def exact_mis(g: Graph, budget: int | None = None) -> ExactResult:
-    """Maximum independent set by branch and bound.
+    """Maximum independent set by branch and bound, seeded with
+    :func:`greedy_mis`. Deterministic for a fixed graph.
 
-    Branches on a maximum-degree vertex (in / out), after greedily taking all
-    vertices of degree <= 1, which some optimum always contains. Deterministic
-    for a fixed graph. ``budget`` caps the number of branch nodes expanded.
+    A branch node first peels: while some available vertex has degree <= 1
+    (some optimum contains it), it takes the one of least degree, then
+    lowest id, and removes its closed neighbourhood. Then it returns if
+    nothing is left or if ``size + popcount(avail) <= best``, and otherwise
+    counts itself in ``expanded`` and branches on the lowest-id vertex of
+    highest degree, include branch first. ``budget`` caps ``expanded``.
     """
     if budget is None and g.n > EXACT_VERTEX_LIMIT:
         raise GraphTooLargeError(
@@ -57,6 +70,9 @@ def exact_mis(g: Graph, budget: int | None = None) -> ExactResult:
         )
     masks = [sum(1 << u for u in g.adjacency[v]) for v in range(g.n)]
     closed = [masks[v] | (1 << v) for v in range(g.n)]
+    # degrees within the current node's available set; a node writes the
+    # entries of its own vertices before it reads any
+    deg = [0] * g.n
 
     seed = greedy_mis(g)
     best_size = len(seed)
@@ -68,26 +84,48 @@ def exact_mis(g: Graph, budget: int | None = None) -> ExactResult:
         nonlocal best_size, best_mask, expanded, exhausted
         if exhausted:
             return
-        while avail:
-            low_v = -1
-            high_v = -1
-            low_d = high_d = -1
-            rest = avail
+        isolated = 0
+        pendant: list[int] = []
+        high_v = high_d = -1
+        rest = avail
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            deg[v] = d = (masks[v] & avail).bit_count()
+            if d > 1:
+                if d > high_d:
+                    high_v, high_d = v, d
+            elif d:
+                pendant.append(v)
+            else:
+                isolated |= bit
+        # a degree-0 vertex is taken as soon as it appears, which changes no
+        # other degree; the degree-1 vertices wait in a heap of ids (the scan
+        # appends them in ascending order), and one that has left is skipped
+        chosen |= isolated
+        size += isolated.bit_count()
+        avail ^= isolated
+        while pendant:
+            v = heappop(pendant)
+            if not avail >> v & 1:
+                continue
+            u = (masks[v] & avail).bit_length() - 1
+            chosen |= 1 << v
+            size += 1
+            avail &= ~closed[v]
+            rest = masks[u] & avail
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                v = bit.bit_length() - 1
-                d = (masks[v] & avail).bit_count()
-                if low_v < 0 or d < low_d:
-                    low_v, low_d = v, d
-                if d > high_d:
-                    high_v, high_d = v, d
-            if low_d <= 1:
-                chosen |= 1 << low_v
-                size += 1
-                avail &= ~closed[low_v]
-                continue
-            break
+                w = bit.bit_length() - 1
+                deg[w] -= 1
+                if deg[w] == 1:
+                    heappush(pendant, w)
+                elif deg[w] == 0:
+                    chosen |= bit
+                    size += 1
+                    avail ^= bit
         if avail == 0:
             if size > best_size:
                 best_size = size
@@ -99,6 +137,17 @@ def exact_mis(g: Graph, budget: int | None = None) -> ExactResult:
         if budget is not None and expanded > budget:
             exhausted = True
             return
+        if not (avail >> high_v & 1 and deg[high_v] == high_d):
+            # the peel took the scan's pick or one of its neighbours; degrees
+            # only fall, so otherwise the pick still stands
+            high_d = -1
+            rest = avail
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                v = bit.bit_length() - 1
+                if deg[v] > high_d:
+                    high_v, high_d = v, deg[v]
         v = high_v
         search(avail & ~closed[v], size + 1, chosen | (1 << v))
         search(avail & ~(1 << v), size, chosen)
@@ -135,41 +184,76 @@ def exact_mvc_size(g: Graph) -> int:
 
 def greedy_mis(g: Graph) -> VertexSet:
     """Repeatedly take a minimum-degree vertex (smallest id on ties) and
-    delete it together with its neighbors."""
-    alive = [True] * g.n
-    deg = [g.degree(v) for v in range(g.n)]
-    remaining = g.n
+    delete it together with its neighbors.
+
+    A heap holds int keys ``degree * n + id``, which order as (degree, id).
+    Each pick lowers the keys of the vertices that lost neighbours and pushes
+    one new key for each, or rebuilds the heap from its live keys when the
+    pick touched at least half as many vertices as the heap holds; pops skip
+    keys of deleted vertices and outdated degrees. A run costs
+    O((n + m) log n).
+    """
+    n = g.n
+    adjacency = g.adjacency
+    key = [len(row) * n + v for v, row in enumerate(adjacency)]
+    heap = key[:]
+    heapify(heap)
     chosen: list[int] = []
-    while remaining:
-        v = min((u for u in range(g.n) if alive[u]), key=lambda u: (deg[u], u))
+    while heap:
+        k = heappop(heap)
+        v = k % n
+        if k != key[v]:
+            continue
         chosen.append(v)
-        for u in (v, *g.adjacency[v]):
-            if not alive[u]:
-                continue
-            alive[u] = False
-            remaining -= 1
-            for w in g.adjacency[u]:
-                if alive[w]:
-                    deg[w] -= 1
+        key[v] = -1
+        touched = set()
+        for u in adjacency[v]:
+            if key[u] >= 0:
+                key[u] = -1
+                for w in adjacency[u]:
+                    if key[w] >= 0:
+                        key[w] -= n
+                        touched.add(w)
+        if 2 * len(touched) >= len(heap):
+            heap = [k for k in heap if k == key[k % n]]
+            heap += [key[w] for w in touched if key[w] >= 0]
+            heapify(heap)
+        else:
+            for w in touched:
+                if key[w] >= 0:
+                    heappush(heap, key[w])
     return VertexSet(frozenset(chosen), INDEPENDENT_SET)
 
 
 def greedy_mvc(g: Graph) -> VertexSet:
     """Repeatedly move a maximum-degree vertex (smallest id on ties) into the
-    cover and delete it, until no edges remain."""
-    alive = [True] * g.n
-    deg = [g.degree(v) for v in range(g.n)]
+    cover and delete it, until no edges remain.
+
+    A heap holds one int key ``id - degree * n`` per live vertex, which
+    orders as (-degree, id). Degrees only fall, so a key at the top that is
+    out of date is replaced by its vertex's current key, and a run costs
+    O((n + m) log n).
+    """
+    n = g.n
+    adjacency = g.adjacency
+    key = [v - len(row) * n for v, row in enumerate(adjacency)]
+    heap = key[:]
+    heapify(heap)
     edges_left = g.m
     cover: list[int] = []
     while edges_left:
-        v = min((u for u in range(g.n) if alive[u]), key=lambda u: (-deg[u], u))
+        k = heap[0]
+        v = k % n
+        if k != key[v]:
+            heapreplace(heap, key[v])
+            continue
+        heappop(heap)
         cover.append(v)
-        alive[v] = False
-        edges_left -= deg[v]
-        for u in g.adjacency[v]:
-            if alive[u]:
-                deg[u] -= 1
-        deg[v] = 0
+        edges_left -= (v - k) // n
+        # a covered neighbour has no key left in the heap, so its key is
+        # never read again
+        for u in adjacency[v]:
+            key[u] += n
     return VertexSet(frozenset(cover), VERTEX_COVER)
 
 
