@@ -14,11 +14,14 @@ oracle and the random coin.
 Roll-out estimates (``rollout_estimate``, ``mixed_estimate``) reduce the
 graph before each comparator decision: they delete the neighbour of every
 degree-1 vertex, then every vertex u with a neighbour v whose closed
-neighbourhood lies inside u's (the domination rule). Both reductions are
-exact, because swapping u for v in a maximum independent set gives another
-(see ``solve_mis``), and they spare most of the estimates' forward passes.
-A solve draws no random stream before its first decision and builds no graph
-once the reductions have cleared every edge, which most roll-outs reach first.
+neighbourhood lies inside u's (the domination rule), then fold a degree-2
+vertex with non-adjacent neighbours into one vertex, and repeat until none
+applies. Deletions are exact, because swapping u for v in a maximum
+independent set gives another, and a fold lowers the independence number by
+exactly one and is undone at the end (see ``solve_mis``). Together they spare
+most of the estimates' forward passes. A solve draws no random stream before
+its first decision and builds no graph once the reductions have cleared
+every edge, which most roll-outs reach first.
 Evaluation solves never reduce, so their quality stays the comparator's own
 and no reduction is credited to the learned part.
 """
@@ -31,7 +34,7 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable
+from typing import Callable, Collection, Iterable, Sequence
 
 from .classic import exact_mis_size, exact_mvc_size, greedy_mis
 from .graph import (
@@ -127,37 +130,56 @@ def solve_mis(
     winner. The surviving vertices, mapped back to original ids, are always an
     independent set of ``g``.
 
-    With ``reduce``, a step first deletes vertices that some maximum
-    independent set of the current graph excludes, without a random draw,
-    asking the comparator or recording a step. Two runs, one graph edit
-    between them, do this in order:
+    With ``reduce``, a step first shrinks the graph to one with the same
+    independence number, up to a known offset, without a random draw, asking
+    the comparator or recording a step. Three runs do this, in order:
 
     - a pendant run (:func:`_pendant_neighbours`): while a degree-1 vertex is
       left, the lowest-id one loses its neighbour;
     - a domination run (:func:`_dominated_vertices`): while some vertex u has
       a neighbour v with N[v] ⊆ N[u] (closed neighbourhoods), the lowest-id
-      such u goes.
+      such u goes;
+    - a fold run (:func:`_fold_to_fixed_point`): while some vertex v of
+      degree 2 has non-adjacent neighbours a and b, the lowest-id such v
+      merges with them into one vertex, which keeps v's id and is adjacent
+      to N(a) ∪ N(b) − {v}.
 
-    Both are exact. If a maximum independent set holds u, it holds no other
-    vertex of N[u] ⊇ N[v], so swapping u for v gives another maximum
+    Deletions are exact. If a maximum independent set holds u, it holds no
+    other vertex of N[u] ⊇ N[v], so swapping u for v gives another maximum
     independent set, which excludes u. A pendant's neighbour is the case
-    N[v] = {v, u}. A domination run ends with no dominated vertex, hence no
-    degree-1 vertex, so neither run needs repeating before the comparator is
-    asked. Runs that leave no edge end the solve without a graph edit, and
-    the stream of vertex draws is seeded at the first draw, not on entry.
+    N[v] = {v, u}. A fold lowers the independence number by exactly one
+    (Chen, Kanj & Jia 2001): an independent set of the folded graph that
+    holds the merged vertex gives one of the graph before with a and b in
+    its place, and one that does not gives one with v added. Each fold is
+    recorded, and the records are undone newest first once the recursion
+    ends, so the result is an independent set of ``g`` for any comparator
+    and a maximum one under the exact oracle.
+
+    A domination run ends with no dominated vertex, hence no degree-1
+    vertex and no degree-2 vertex with adjacent neighbours, so every
+    degree-2 vertex it leaves can fold. After a fold run all three runs
+    repeat, on mutable adjacency rows, until none applies; only then is the
+    comparator asked. Runs that leave no edge end the solve without a graph
+    edit, a graph is built only for a decision, and the stream of vertex
+    draws is seeded at the first draw, not on entry.
     """
     rng = None  # seeded at the first draw: a solve that never draws needs none
     cur = g
     to_original = list(range(g.n))
+    folds: list[tuple[int, int, int]] = []
     traj = Trajectory()
     while cur.m > 0:
         if reduce:
-            drop, dead, degree = _pendant_neighbours(cur)
-            drop += _dominated_vertices(cur, dead, degree)
+            drop, dead, degree = _pendant_neighbours(cur.adjacency)
+            drop += _dominated_vertices(cur.adjacency, dead, degree)
             if not any(degree):  # no edge is left: the survivors are the set
                 to_original = [x for x, gone in zip(to_original, dead) if not gone]
                 break
-            if drop:
+            if 2 in degree:  # every degree-2 vertex a domination run leaves can fold
+                cur, to_original = _fold_to_fixed_point(cur.adjacency, dead, degree, to_original, folds)
+                if cur is None:  # the runs cleared every edge
+                    break
+            elif drop:
                 cur, kept = remove_vertices(cur, drop)
                 to_original = [to_original[old] for old in kept]
         rng = rng or random.Random(seed)
@@ -169,30 +191,103 @@ def solve_mis(
         traj.steps.append((g0, g1))
         cur, kept = (g0, kept0) if choice == 0 else (g1, kept1)
         to_original = [to_original[old] for old in kept]
-    return VertexSet(frozenset(to_original), INDEPENDENT_SET), traj
+    members = _unfold(to_original, folds) if folds else frozenset(to_original)
+    return VertexSet(members, INDEPENDENT_SET), traj
 
 
-def _pendant_neighbours(g: Graph) -> tuple[list[int], list[bool], list[int]]:
-    """The neighbours that a run of pendant steps deletes from ``g``: while
-    a degree-1 vertex is left, the lowest-id one loses its neighbour.
-    Deletions keep the survivors' order, so the lowest id here is the lowest
-    id in the graph each single deletion would leave. The run keeps degree
-    counts and a min-heap of the degree-1 vertices instead of rebuilding the
-    graph after each deletion. Returns the deleted vertices, which vertices
+def _unfold(members: list[int], folds: list[tuple[int, int, int]]) -> frozenset[int]:
+    """Undo the fold records ``(v, a, b)`` newest first, since a record may
+    name a vertex merged by an older one: a merged vertex v in the set gives
+    way to a and b, and otherwise v joins."""
+    result = set(members)
+    for v, a, b in reversed(folds):
+        if v in result:
+            result.remove(v)
+            result.update((a, b))
+        else:
+            result.add(v)
+    return frozenset(result)
+
+
+def _fold_to_fixed_point(
+    adjacency: tuple[tuple[int, ...], ...],
+    dead: list[bool],
+    degree: list[int],
+    labels: list[int],
+    folds: list[tuple[int, int, int]],
+) -> tuple[Graph | None, list[int]]:
+    """Continue a reduction whose pendant and domination runs on
+    ``adjacency`` left ``dead`` and ``degree`` and some vertex of degree 2.
+    A fold run folds, while a vertex of degree 2 with non-adjacent
+    neighbours is left, the lowest-id one; then both other runs go again,
+    and the three repeat until a domination run leaves no vertex of degree
+    2. The runs work on mutable rows of live neighbours, and a min-heap
+    worklist holds the vertices that may be foldable. A fold of v with
+    neighbours a and b deletes a and b, gives v the row N(a) ∪ N(b) − {v},
+    and appends ``(labels[v], labels[a], labels[b])`` to ``folds``. Marks
+    every vertex it deletes in ``dead``. Returns the reduced graph, or None
+    if no edge is left, and the labels of its vertices."""
+    rows = [set() if out else {x for x in row if not dead[x]} for row, out in zip(adjacency, dead)]
+
+    def delete(vertices: Iterable[int]) -> None:
+        for u in vertices:
+            dead[u] = True
+            for x in rows[u]:
+                rows[x].discard(u)
+            rows[u] = set()
+
+    while 2 in degree:
+        foldable = [v for v, d in enumerate(degree) if d == 2]  # ascending: a heap
+        while foldable:
+            v = heapq.heappop(foldable)
+            if len(rows[v]) != 2:
+                continue  # deleted, or its degree moved, after it was pushed
+            a, b = rows[v]
+            if b in rows[a]:
+                continue
+            folds.append((labels[v], labels[a], labels[b]))
+            merged = (rows[a] | rows[b]) - {v}
+            delete((a, b))
+            rows[v] = merged
+            for x in merged:
+                rows[x].add(v)
+            # only v and its new neighbours changed rows, and every edge added
+            # or lost touches v, a or b, so only they can have become foldable
+            for x in (v, *merged):
+                if len(rows[x]) == 2:
+                    heapq.heappush(foldable, x)
+        drop, run_dead, degree = _pendant_neighbours(rows)
+        delete(drop + _dominated_vertices(rows, run_dead, degree))
+    keep = [v for v, out in enumerate(dead) if not out]
+    labels = [labels[v] for v in keep]
+    if not any(degree):
+        return None, labels
+    new_id = dict(zip(keep, range(len(keep))))
+    adjacency = tuple([tuple(sorted([new_id[x] for x in rows[v]])) for v in keep])
+    return Graph(len(keep), adjacency, sum(map(len, adjacency)) // 2), labels
+
+
+def _pendant_neighbours(adjacency: Sequence[Collection[int]]) -> tuple[list[int], list[bool], list[int]]:
+    """The neighbours that a run of pendant steps deletes from the graph
+    with rows ``adjacency``: while a degree-1 vertex is left, the lowest-id
+    one loses its neighbour. Deletions keep the survivors' order, so the
+    lowest id here is the lowest id in the graph each single deletion would
+    leave. The run keeps degree counts and a min-heap of the degree-1
+    vertices instead of rebuilding the graph after each deletion. Returns the deleted vertices, which vertices
     are deleted, and the degree each vertex is left with (0 once deleted)."""
-    degree = [len(row) for row in g.adjacency]
+    degree = [len(row) for row in adjacency]
     pendants = [v for v, d in enumerate(degree) if d == 1]
-    dead = [False] * g.n
+    dead = [False] * len(adjacency)
     drop = []
     while pendants:
         v = heapq.heappop(pendants)
         if dead[v] or degree[v] != 1:
             continue  # its neighbour went, or it did, after it was pushed
-        u = next(x for x in g.adjacency[v] if not dead[x])
+        u = next(x for x in adjacency[v] if not dead[x])
         dead[u] = True
         degree[u] = 0
         drop.append(u)
-        for x in g.adjacency[u]:
+        for x in adjacency[u]:
             if not dead[x]:
                 degree[x] -= 1
                 if degree[x] == 1:
@@ -200,11 +295,11 @@ def _pendant_neighbours(g: Graph) -> tuple[list[int], list[bool], list[int]]:
     return drop, dead, degree
 
 
-def _dominated_vertices(g: Graph, dead: list[bool], degree: list[int]) -> list[int]:
+def _dominated_vertices(adjacency: Sequence[Collection[int]], dead: list[bool], degree: list[int]) -> list[int]:
     """The vertices that a run of domination steps deletes from what is
-    left of ``g`` once the ``dead`` vertices are gone, each vertex v keeping
-    ``degree[v]`` neighbours: while some vertex u has a neighbour v
-    with N[v] ⊆ N[u], the lowest-id such u goes. Closed neighbourhoods are
+    left of the graph with rows ``adjacency`` once the ``dead`` vertices are
+    gone, each vertex v keeping ``degree[v]`` neighbours: while some vertex u
+    has a neighbour v with N[v] ⊆ N[u], the lowest-id such u goes. Closed neighbourhoods are
     int bitmasks, and a min-heap worklist holds the vertices that may be
     dominated. Deleting u shrinks only the neighbourhoods of u's neighbours,
     so only they and their neighbours can become dominated, and only they go
@@ -213,12 +308,12 @@ def _dominated_vertices(g: Graph, dead: list[bool], degree: list[int]) -> list[i
     the graph's lowest. Updates ``dead`` and ``degree`` like the pendant run."""
     if not any(degree):
         return []  # no edge is left
+    n = len(adjacency)
     queued = list(map(bool, degree))
-    worklist = list(compress(range(g.n), degree))  # ascending: a heap
-    adjacency = g.adjacency
-    bit = [1 << v for v in range(g.n)]
+    worklist = list(compress(range(n), degree))  # ascending: a heap
+    bit = [1 << v for v in range(n)]
     closed = [sum([bit[x] for x in row], bit[v]) for v, row in enumerate(adjacency)]
-    for u in compress(range(g.n), dead):
+    for u in compress(range(n), dead):
         for x in adjacency[u]:
             closed[x] &= ~bit[u]
     drop = []

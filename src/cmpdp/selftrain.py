@@ -8,10 +8,14 @@ mini-batch Adam on the pair classification loss. Labels always come from the
 model's own roll-outs, never from an exact solver. Before each decision,
 those roll-outs, like the ones behind the consistency measure, delete the
 neighbour of every degree-1 vertex and every vertex u with a neighbour v such
-that N[v] ⊆ N[u]. Swapping u for v in a maximum independent set gives
-another, so some maximum independent set excludes each such vertex and both
-reductions are exact (see ``dpsolve.solve_mis``). The harvest's own solve does
-not reduce, so every recorded step is a decision of the comparator. Training returns the
+that N[v] ⊆ N[u], and fold each degree-2 vertex whose neighbours are not
+adjacent into one vertex with them, until none of these applies. Swapping u
+for v in a maximum independent set gives another, so some maximum
+independent set excludes each deleted vertex, and a fold lowers the
+independence number by exactly one; all three are exact (see
+``dpsolve.solve_mis``), and most estimates at n 15–35 finish exact before any
+decision. The harvest's own solve does not reduce, so every recorded step is
+a decision of the comparator. Training returns the
 parameters of its last epoch: each refresh labels pairs under the latest
 model, and each refresh's validation split is new, so validation losses from
 different refreshes are not comparable and pick no checkpoint.

@@ -76,38 +76,73 @@ def lowest_dominated(g):
     return next((u for u in range(g.n) if any(closed[v] <= closed[u] for v in g.adjacency[u])), None)
 
 
+def lowest_foldable(g):
+    """The lowest-id vertex of degree 2 whose two neighbours are not adjacent, or None."""
+    return next((v for v, row in enumerate(g.adjacency) if len(row) == 2 and row[1] not in g.adjacency[row[0]]), None)
+
+
+def fold(g, v):
+    """``g`` with v, a and b merged into one vertex at v's place, adjacent to
+    N(a) ∪ N(b) − {v}, where a and b are v's two neighbours; and the
+    surviving ids of ``g``."""
+    a, b = g.adjacency[v]
+    merged = (set(g.adjacency[a]) | set(g.adjacency[b])) - {v}
+    return remove_vertices(build_graph(g.n, g.edges() + [(v, x) for x in merged]), (a, b))
+
+
+def unfolded(members, folds):
+    """The members with the fold records ``(v, a, b)`` undone newest first:
+    a merged vertex in the set gives way to a and b, else v joins."""
+    members = set(members)
+    for v, a, b in reversed(folds):
+        members = members - {v} | {a, b} if v in members else members | {v}
+    return frozenset(members)
+
+
 def reduced(g):
     """The reference for the reduction ``solve_mis(..., reduce=True)`` makes
-    before a decision, one deleted vertex per graph edit: the neighbour of the
-    lowest-id degree-1 vertex until none is left, then the lowest-id dominated
-    vertex until none is left. Returns the reduced graph and its kept ids."""
+    before a decision, one deleted vertex or one fold per graph edit: the
+    neighbour of the lowest-id degree-1 vertex until none is left, then the
+    lowest-id dominated vertex until none is left, then a fold of the
+    lowest-id foldable vertex until none is left, and again from the start
+    until none applies.
+    Returns the reduced graph, the ids of ``g`` its vertices stand for, and
+    the fold records ``(v, a, b)`` in ids of ``g``, oldest first."""
     kept = list(range(g.n))
+    folds = []
 
-    def delete(v):
+    def edit(result):
         nonlocal g, kept
-        g, survivors = remove_vertex(g, v)
+        g, survivors = result
         kept = [kept[old] for old in survivors]
 
-    while (pendant := lowest_pendant(g)) is not None:
-        delete(g.adjacency[pendant][0])
-    while (u := lowest_dominated(g)) is not None:
-        delete(u)
-    return g, kept
+    while True:
+        while (pendant := lowest_pendant(g)) is not None:
+            edit(remove_vertex(g, g.adjacency[pendant][0]))
+        while (u := lowest_dominated(g)) is not None:
+            edit(remove_vertex(g, u))
+        if lowest_foldable(g) is None:
+            return g, kept, folds
+        while (v := lowest_foldable(g)) is not None:
+            folds.append(tuple(kept[x] for x in (v, *g.adjacency[v])))
+            edit(fold(g, v))
 
 
 def solve_mis_one_vertex_per_edit(g, comparator, seed):
     """The reference for ``solve_mis(..., reduce=True)``: :func:`reduced`
-    before every decision. Returns the members in original ids and the
-    recorded branch pairs."""
+    before every decision, and every fold undone at the end. Returns the
+    members in original ids and the recorded branch pairs."""
     rng = random.Random(seed)
     cur = g
     to_original = list(range(g.n))
+    folds = []
     steps = []
     while True:
-        cur, kept = reduced(cur)
+        cur, kept, new_folds = reduced(cur)
+        folds += [tuple(to_original[x] for x in record) for record in new_folds]
         to_original = [to_original[old] for old in kept]
         if cur.m == 0:
-            return frozenset(to_original), steps
+            return unfolded(to_original, folds), steps
         candidates = [v for v, row in enumerate(cur.adjacency) if row]
         v = candidates[rng.randrange(len(candidates))]
         g0, kept0 = remove_vertex(cur, v)
@@ -117,9 +152,9 @@ def solve_mis_one_vertex_per_edit(g, comparator, seed):
         to_original = [to_original[old] for old in kept]
 
 
-def min_degree_2_graph(rng, n, p):
-    """A random graph on n >= 3 vertices in which each vertex short of two
-    neighbours is joined to random others until it has two."""
+def min_degree_graph(rng, n, p, k=2):
+    """A random graph on n > k vertices in which each vertex short of k
+    neighbours is joined to random others until it has k."""
     adj = [set() for _ in range(n)]
     for u in range(n):
         for v in range(u + 1, n):
@@ -127,11 +162,35 @@ def min_degree_2_graph(rng, n, p):
                 adj[u].add(v)
                 adj[v].add(u)
     for v in range(n):
-        while len(adj[v]) < 2:
+        while len(adj[v]) < k:
             u = rng.choice([x for x in range(n) if x != v and x not in adj[v]])
             adj[v].add(u)
             adj[u].add(v)
     return build_graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+
+
+def cycle(n):
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def k33():
+    return build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+
+
+def petersen():
+    return build_graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def random_cubic(rng, n):
+    """A uniform-ish simple cubic graph on an even n >= 4: random pairings of
+    three stubs per vertex until one has no loop and no repeated edge."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
+            return build_graph(n, pairs)
 
 
 def refuse(g0, g1):
@@ -195,18 +254,21 @@ class TestSolveMis:
             vs, traj = solve_mis(g, compare, seed=trial, reduce=True)
             assert vs.valid_for(g)
             assert len(traj.steps) == len(picked)
-            cur = reduced(g)[0]
+            cur, _, folds = reduced(g)
             for step, chosen in zip(traj.steps, picked):
                 # a step is recorded only where no vertex is dominated, so
-                # none has degree 1 either
+                # none has degree 1 either, and no vertex can fold
                 assert lowest_dominated(cur) is None and lowest_pendant(cur) is None
+                assert lowest_foldable(cur) is None
                 branches = {
                     (remove_vertex(cur, v)[0], remove_neighbors(cur, v)[0])
                     for v in range(cur.n) if cur.degree(v) > 0
                 }
                 assert step in branches
-                cur = reduced(chosen)[0]
-            assert cur.m == 0 and cur.n == len(vs)
+                cur, _, more = reduced(chosen)
+                folds += more
+            # each fold leaves one vertex in place of three and adds one to the set
+            assert cur.m == 0 and cur.n + len(folds) == len(vs)
 
     def test_reduction_runs_match_one_vertex_per_edit(self):
         rng = random.Random(102)
@@ -249,17 +311,18 @@ class TestSolveMis:
         vs, traj = solve_mis(both, refuse, seed=0, reduce=True)
         assert edits == []
         assert vs.members == {0, 1, 6, 8} and traj.steps == []
-        # a disjoint C5 has no pendant and no dominated vertex, so an edge
-        # survives the runs, and what they deleted goes in one edit before
-        # the first decision
+        # a disjoint K3,3 has no pendant, no dominated vertex and no vertex
+        # of degree 2, so an edge survives the runs, and what they deleted
+        # goes in one edit before the first decision. Either branch leaves
+        # K2,3, which one fold and a pendant run clear with no graph edit
         for g, first_edit, kept in ((path, [1, 3, 5, 7], {0, 2, 4, 6, 8}), (k6_minus_edge(), [2, 3, 4, 5], {0, 1})):
-            c5 = [(g.n + i, g.n + (i + 1) % 5) for i in range(5)]
+            k = [(g.n + u, g.n + v) for u, v in k33().edges()]
             edits.clear()
             compare, picked = recording(always(0))
-            vs, traj = solve_mis(build_graph(g.n + 5, list(g.edges()) + c5), compare, seed=0, reduce=True)
-            assert edits[0] == first_edit
+            vs, traj = solve_mis(build_graph(g.n + 6, list(g.edges()) + k), compare, seed=0, reduce=True)
+            assert edits == [first_edit]
             assert len(traj.steps) == len(picked) == 1
-            assert kept < vs.members and len(vs) == len(kept) + 2
+            assert kept < vs.members and len(vs) == len(kept) + 3
 
     def test_a_decision_free_reducing_solve_draws_and_edits_nothing(self, monkeypatch):
         made, edits = [], []
@@ -276,21 +339,25 @@ class TestSolveMis:
         monkeypatch.setattr(dpsolve, "random", types.SimpleNamespace(Random=CountingRandom))
         monkeypatch.setattr(dpsolve, "remove_vertices", counting)
         rng = random.Random(105)
-        for trial in range(60):
-            g = random_forest(rng, rng.randint(1, 20), rng.random())
+        # forests, and cycles, which folds shrink to a triangle or an edge
+        graphs = [random_forest(rng, rng.randint(1, 20), rng.random()) for _ in range(60)]
+        graphs += [cycle(n) for n in range(3, 16)]
+        for trial, g in enumerate(graphs):
             vs, traj = solve_mis(g, refuse, seed=trial, reduce=True)
             assert vs.valid_for(g) and len(vs) == exact_mis_size(g) and traj.steps == []
         assert made == [] and edits == []
         # the counters see a solve that decides: one stream, seeded at its
         # first draw with the solve's seed
-        vs, traj = solve_mis(build_graph(5, [(i, (i + 1) % 5) for i in range(5)]), always(0), seed=3, reduce=True)
+        vs, traj = solve_mis(k33(), always(0), seed=3, reduce=True)
         assert made == [3] and len(traj.steps) == 1
 
     def test_runs_that_clear_the_graph_after_decisions_match_one_vertex_per_edit(self):
+        # minimum degree 3 and no dominated vertex: no run applies before
+        # the first decision, and the runs clear what the decisions leave
         rng = random.Random(106)
-        graphs = [build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(4, 12)]
-        graphs += [min_degree_2_graph(rng, rng.randint(5, 18), 0.3 * rng.random()) for _ in range(120)]
-        graphs = [g for g in graphs if reduced(g)[0].m]  # the runs alone leave an edge
+        graphs = [k33(), petersen()] + [random_cubic(rng, rng.choice(range(6, 20, 2))) for _ in range(40)]
+        graphs += [min_degree_graph(rng, rng.randint(6, 18), 0.3 * rng.random(), k=3) for _ in range(120)]
+        graphs = [g for g in graphs if lowest_dominated(g) is None]
         assert len(graphs) > 60
         for trial, g in enumerate(graphs):
             for seed in range(3):
@@ -310,11 +377,12 @@ class TestSolveMis:
 
     def test_oracle_optimality_reduced_without_degree_1_vertices(self):
         # graphs the pendant run leaves alone, so only the domination run
-        # reduces them before the oracle decides
+        # and folds reduce them before the oracle decides
         rng = random.Random(202)
         comparator = oracle_mis_comparator()
-        for trial in range(60):
-            g = min_degree_2_graph(rng, rng.randint(3, 14), rng.uniform(0.05, 0.6))
+        graphs = [min_degree_graph(rng, rng.randint(3, 14), rng.uniform(0.05, 0.6)) for _ in range(60)]
+        assert sum(len(reduced(g)[2]) for g in graphs) > 10  # folds are taken
+        for trial, g in enumerate(graphs):
             vs, _ = solve_mis(g, comparator, seed=trial, reduce=True)
             assert vs.valid_for(g) and len(vs) == exact_mis_size(g)
 
@@ -340,6 +408,25 @@ class TestSolveMis:
         g = random_graph(random.Random(1), 10, 0.3)
         vs, _ = solve_mis(g, learned_mis_comparator(params), seed=4)
         assert vs.valid_for(g)
+
+
+class TestFold:
+    @given(st.integers(0, 2**32), st.integers(3, 40), st.floats(0.0, 0.5))
+    @settings(max_examples=60, deadline=None)
+    def test_a_fold_lowers_the_independence_number_by_one(self, seed, n, p):
+        g = random_graph(random.Random(seed), n, p)
+        foldable = [v for v, row in enumerate(g.adjacency) if len(row) == 2 and row[1] not in g.adjacency[row[0]]]
+        for v in foldable[:3]:
+            assert exact_mis_size(g) == exact_mis_size(fold(g, v)[0]) + 1
+
+    @given(st.integers(0, 2**32), st.integers(0, 40), st.floats(0.0, 0.5))
+    @settings(max_examples=80, deadline=None)
+    def test_a_reducing_solve_is_valid_and_exact_without_steps(self, seed, n, p):
+        g = random_graph(random.Random(seed), n, p)
+        vs, traj = solve_mis(g, random_comparator(seed), seed=seed, reduce=True)
+        assert vs.valid_for(g)
+        if not traj.steps:
+            assert len(vs) == exact_mis_size(g)
 
 
 class TestComparatorFactories:
